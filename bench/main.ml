@@ -304,20 +304,13 @@ let run_figures ?domains scale =
 
 (* ---------- machine-readable output ---------- *)
 
-module Json = Euno_stats.Json
 module Report = Euno_harness.Report
+module Schema = Euno_harness.Schema
 
-let micro_record (name, ns) =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Report.schema_version);
-      ("record", Json.Str "micro");
-      ("name", Json.Str name);
-      ("ns_per_call", Json.Float ns);
-    ]
+let micro_record = Schema.encode Euno_harness.Perf_gate.micro
 
 let perf_record ~metric (name, strategy, capacity_model, value) =
-  Euno_harness.Perf_gate.probe_to_json
+  Schema.encode Euno_harness.Perf_gate.record
     {
       Euno_harness.Perf_gate.p_name = name;
       p_strategy = strategy;
@@ -393,6 +386,6 @@ let () =
         (Report.collected ())
   in
   Report.stop_collecting ();
-  Report.write_file json_path (Report.document ~experiment:"bench" records);
+  Schema.write_file json_path (Schema.document ~experiment:"bench" records);
   Printf.printf "wrote %s (%d records, schema v%d)\n%!" json_path
-    (List.length records) Report.schema_version
+    (List.length records) Schema.schema_version

@@ -13,26 +13,17 @@
 module Lint = Eunolint.Lint
 module Rules = Eunolint.Rules
 module Report = Euno_harness.Report
+module Schema = Euno_harness.Schema
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
 
 let json_of_outcome (o : Lint.outcome) =
-  let active =
-    List.map
-      (fun (f : Rules.finding) ->
-        Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-          ~msg:f.msg ())
-      o.Lint.findings
-  in
-  let muted =
-    List.map
-      (fun (s : Lint.suppressed) ->
-        let f = s.Lint.s_finding in
-        Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-          ~msg:f.msg ~reason:s.Lint.s_reason ())
-      o.Lint.suppressed
-  in
-  Report.document ~experiment:"lint" (active @ muted)
+  Schema.document ~experiment:"lint"
+    (List.map (fun f -> Schema.encode Report.lint (f, None)) o.Lint.findings
+    @ List.map
+        (fun (s : Lint.suppressed) ->
+          Schema.encode Report.lint (s.Lint.s_finding, Some s.Lint.s_reason))
+        o.Lint.suppressed)
 
 let () =
   let json_out = ref "" in
@@ -67,7 +58,7 @@ let () =
               f.msg)
           o.Lint.findings;
       if !json_out <> "" then
-        Report.write_file !json_out (json_of_outcome o);
+        Schema.write_file !json_out (json_of_outcome o);
       Printf.printf "euno-lint: %d finding(s), %d suppressed, %d file(s)\n"
         (List.length o.Lint.findings)
         (List.length o.Lint.suppressed)

@@ -13,7 +13,7 @@
 
 module Json = Euno_stats.Json
 module Gate = Euno_harness.Perf_gate
-module Report = Euno_harness.Report
+module Schema = Euno_harness.Schema
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -48,7 +48,7 @@ let () =
     "euno_perf_check [--band N] [--current FILE] [--baseline FILE] [--write-baseline]";
   let probes = read_probes !current in
   if !write_baseline then begin
-    Report.write_file !baseline (Gate.baseline_document probes);
+    Schema.write_file !baseline (Gate.baseline_document probes);
     Printf.printf "wrote %s (%d probes)\n" !baseline (List.length probes)
   end
   else begin

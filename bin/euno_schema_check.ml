@@ -55,4 +55,4 @@ let () =
   if paths = [] then fail "usage: euno_schema_check [--jsonl] FILE...";
   List.iter (if !jsonl then check_jsonl else check_document) paths;
   Printf.printf "%d file(s) valid (schema v%d)\n" (List.length paths)
-    Report.schema_version
+    Euno_harness.Schema.schema_version

@@ -14,7 +14,6 @@
    accounts for it.  What the horizon does bound is checked structurally
    by Oplog; what this checker sees is only the end state. *)
 
-module Json = Euno_stats.Json
 
 type kind =
   | Phantom (* recovered state contains an effect no acked op justifies *)
@@ -35,13 +34,6 @@ type stats = {
   recovery_cycles : int;
   work_bound : int; (* linear allowance computed by the driver *)
 }
-
-let finding_to_json f =
-  Json.Obj
-    [
-      ("kind", Json.Str (kind_name f.f_kind));
-      ("detail", Json.Str f.f_detail);
-    ]
 
 (* Classify one diverging key.  [ever_acked key value] answers whether any
    acknowledged put (or the preload) ever wrote [value] to [key]: a

@@ -45,4 +45,3 @@ val check :
 
 val clean : finding list -> bool
 val has_kind : kind -> finding list -> bool
-val finding_to_json : finding -> Euno_stats.Json.t

@@ -19,14 +19,12 @@ module Plan = Euno_fault.Plan
 module Machine = Euno_sim.Machine
 module Cost = Euno_sim.Cost
 module Api = Euno_sim.Api
-module Abort = Euno_sim.Abort
 module Rng = Euno_sim.Rng
 module Memory = Euno_mem.Memory
 module Linemap = Euno_mem.Linemap
 module Alloc = Euno_mem.Alloc
 module Barrier = Euno_sync.Barrier
 module Htm = Euno_htm.Htm
-module Json = Euno_stats.Json
 
 type config = {
   threads : int;
@@ -232,11 +230,11 @@ let split_phases ~span ~work_end ~samples =
      fault phase would fake a throughput collapse that never happened. *)
   let ws =
     List.filter
-      (fun w -> w.Report.w_start < work_end)
-      (Report.windows_of_snapshots samples)
+      (fun w -> w.Schema.w_start < work_end)
+      (Schema.windows_of_snapshots samples)
   in
   let add (ops, cyc) w =
-    (ops + w.Report.w_ops, cyc + (w.Report.w_end - w.Report.w_start))
+    (ops + w.Schema.w_ops, cyc + (w.Schema.w_end - w.Schema.w_start))
   in
   match span with
   | None ->
@@ -247,8 +245,8 @@ let split_phases ~span ~work_end ~samples =
       let clean, fault, after =
         List.fold_left
           (fun (c, f, a) w ->
-            if w.Report.w_end <= f0 then (add c w, f, a)
-            else if w.Report.w_start >= f1 then (c, f, add a w)
+            if w.Schema.w_end <= f0 then (add c w, f, a)
+            else if w.Schema.w_start >= f1 then (c, f, add a w)
             else (c, add f w, a))
           ((0, 0), (0, 0), (0, 0))
           ws
@@ -260,8 +258,8 @@ let split_phases ~span ~work_end ~samples =
       let recovered =
         List.find_opt
           (fun w ->
-            w.Report.w_start >= f1
-            && rate (w.Report.w_ops, w.Report.w_end - w.Report.w_start)
+            w.Schema.w_start >= f1
+            && rate (w.Schema.w_ops, w.Schema.w_end - w.Schema.w_start)
                >= 0.5 *. clean_rate)
           ws
       in
@@ -271,7 +269,7 @@ let split_phases ~span ~work_end ~samples =
         ph_after = after;
         ph_recovery =
           (match recovered with
-          | Some w -> Recovered (w.Report.w_end - f1)
+          | Some w -> Recovered (w.Schema.w_end - f1)
           | None -> Unrecovered (max 0 (work_end - f1)));
       }
 
@@ -353,56 +351,48 @@ let run_all ?domains cfg =
 
 (* ---------- reporting ---------- *)
 
-let outcome_to_json ?experiment o =
-  Json.Obj
-    ([
-       ("schema_version", Json.Int Report.schema_version);
-       ("record", Json.Str "chaos");
-     ]
-    @ (match experiment with
-      | Some e -> [ ("experiment", Json.Str e) ]
-      | None -> [])
-    @ [
-        ("tree", Json.Str o.o_name);
-        ("threads", Json.Int o.o_threads);
-        ("seed", Json.Int o.o_seed);
-        ("horizon_cycles", Json.Int o.o_horizon);
-        ("plan", Plan.to_json o.o_plan);
-        ("ops", Json.Int o.o_ops);
-        ("failed_ops", Json.Int o.o_failed_ops);
-        ("cycles", Json.Int o.o_cycles);
-        ("mops", Json.Float o.o_mops);
-        ("mops_clean", Json.Float o.o_mops_clean);
-        ("mops_fault", Json.Float o.o_mops_fault);
-        ("mops_after", Json.Float o.o_mops_after);
+let record =
+  Schema.(
+    kind ~record:"chaos"
+      [
+        F ("tree", Str, fun o -> o.o_name);
+        F ("threads", Int, fun o -> o.o_threads);
+        F ("seed", Int, fun o -> o.o_seed);
+        F ("horizon_cycles", Int, fun o -> o.o_horizon);
+        F ( "plan",
+            Raw (fun j -> Result.is_ok (Plan.of_json j)),
+            fun o -> Plan.to_json o.o_plan );
+        F ("ops", Int, fun o -> o.o_ops);
+        F ("failed_ops", Int, fun o -> o.o_failed_ops);
+        F ("cycles", Int, fun o -> o.o_cycles);
+        F ("mops", Float, fun o -> o.o_mops);
+        F ("mops_clean", Float, fun o -> o.o_mops_clean);
+        F ("mops_fault", Float, fun o -> o.o_mops_fault);
+        F ("mops_after", Float, fun o -> o.o_mops_after);
         (* recovery_cycles stays an int in both verdicts: for Unrecovered
            it is the saturated observation horizon, and [recovered] says
            which reading applies. *)
-        ( "recovery_cycles",
-          Json.Int
-            (match o.o_recovery with Recovered c | Unrecovered c -> c) );
-        ( "recovered",
-          Json.Bool (match o.o_recovery with Recovered _ -> true
-                                           | Unrecovered _ -> false) );
-        ("invariant_violations", Json.Int o.o_invariant_violations);
-        ("model_mismatches", Json.Int o.o_model_mismatches);
-        ("checkpoints", Json.Int o.o_checkpoints);
-        ( "aborts",
-          Json.Obj
-            (List.init (Array.length o.o_aborts) (fun i ->
-                 (Abort.class_name i, Json.Int o.o_aborts.(i)))) );
-        ( "degradation",
-          Json.Obj
-            [
-              ("fallbacks", Json.Int o.o_fallbacks);
-              ("watchdog_trips", Json.Int o.o_watchdog_trips);
-              ("starvation_backoffs", Json.Int o.o_starvation_backoffs);
-              ("convoy_events", Json.Int o.o_convoy_events);
-            ] );
-        ( "snapshots",
-          Json.List
-            (List.map Report.window_to_json
-               (Report.windows_of_snapshots o.o_snapshots)) );
+        F ( "recovery_cycles",
+            Int,
+            fun o -> match o.o_recovery with Recovered c | Unrecovered c -> c );
+        F ( "recovered",
+            Bool,
+            fun o ->
+              match o.o_recovery with Recovered _ -> true | Unrecovered _ -> false );
+        F ("invariant_violations", Int, fun o -> o.o_invariant_violations);
+        F ("model_mismatches", Int, fun o -> o.o_model_mismatches);
+        F ("checkpoints", Int, fun o -> o.o_checkpoints);
+        F ("aborts", Obj (per_class Int), fun o -> o.o_aborts);
+        F ( "degradation",
+            Obj
+              [
+                F ("fallbacks", Int, fun o -> o.o_fallbacks);
+                F ("watchdog_trips", Int, fun o -> o.o_watchdog_trips);
+                F ("starvation_backoffs", Int, fun o -> o.o_starvation_backoffs);
+                F ("convoy_events", Int, fun o -> o.o_convoy_events);
+              ],
+            Fun.id );
+        snapshots (fun o -> o.o_snapshots);
       ])
 
 let print_outcomes outs =

@@ -106,9 +106,8 @@ val run_all : ?domains:int -> config -> outcome list
     fans the per-tree cells across worker domains via {!Pool.map} with
     byte-identical outcomes in {!Kv.all_kinds} order. *)
 
-val outcome_to_json : ?experiment:string -> outcome -> Euno_stats.Json.t
-(** One schema-v1 ["chaos"] record ({!Report.validate_chaos} is the
-    contract). *)
+val record : outcome Schema.kind
+(** The schema-v1 ["chaos"] record: one per tree. *)
 
 val print_outcomes : outcome list -> unit
 (** ASCII summary table. *)

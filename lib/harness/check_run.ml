@@ -13,7 +13,8 @@
    Explore.Replay — everything is deterministic, so a subset either still
    reproduces the violation or provably does not.  The survivors (usually
    one to three forced context switches) plus the run configuration make a
-   one-line repro descriptor that `euno_check --repro` replays verbatim.
+   one-line repro descriptor that `euno_repro check --repro` replays
+   verbatim.
 
    Validation is mutation-driven: the Testonly switches in Htm
    (skip_subscription) and Masstree (widen_read_window) reintroduce real
@@ -495,26 +496,43 @@ let print oc outcomes =
                (List.map Explore.preemption_to_string v.v_minimized));
           Printf.fprintf oc "  non-linearizable core:\n%s\n"
             (History.to_string v.v_core);
-          Printf.fprintf oc "  repro: euno_check --repro '%s'\n" v.v_repro)
+          Printf.fprintf oc "  repro: euno_repro check --repro '%s'\n" v.v_repro)
     outcomes
 
-let to_records ?experiment outcomes =
-  List.mapi
-    (fun i o ->
-      let c = o.o_config in
-      Report.check_to_json ?experiment ~run:i ~tree:(Kv.kind_name c.tree)
-        ~mix:c.mix ~dist:c.dist ~mutation:c.mutation
-        ~strategy:(Htm.strategy_name c.strategy)
-        ~capacity_model:Cost.default.Cost.capacity.Cost.cm_name
-        ~threads:c.threads ~seed:c.seed ~policy:o.o_policy ~runs:o.o_runs
-        ~events:o.o_events
-        ~violation:
-          (Option.map
-             (fun v ->
-               ( List.length v.v_fired,
-                 List.length v.v_minimized,
-                 List.length v.v_core,
-                 v.v_repro ))
-             o.o_violation)
-        ())
-    outcomes
+(* One record per campaign cell: the exploration budget spent and, on a
+   violation, the size of the counterexample before/after shrinking plus
+   the one-line repro descriptor.  The [violation] object is present
+   exactly when [violations] is non-zero. *)
+let record =
+  Schema.(
+    kind ~record:"check"
+      ~rule:(fun j ->
+        match (Json.member "violations" j, Json.member "violation" j) with
+        | Some (Json.Int 0), Some _ ->
+            Error "field 'violation' present with violations = 0"
+        | Some (Json.Int n), None when n > 0 -> Error "missing field 'violation'"
+        | _ -> Ok ())
+      [
+        F ("tree", Str, fun o -> Kv.kind_name o.o_config.tree);
+        F ("mix", Str, fun o -> o.o_config.mix);
+        F ("dist", Str, fun o -> o.o_config.dist);
+        F ("mutation", Str, fun o -> o.o_config.mutation);
+        strategy (fun o -> Htm.strategy_name o.o_config.strategy);
+        capacity_model (fun _ -> Cost.default.Cost.capacity.Cost.cm_name);
+        F ("threads", Int, fun o -> o.o_config.threads);
+        F ("seed", Int, fun o -> o.o_config.seed);
+        F ("policy", Str, fun o -> o.o_policy);
+        F ("runs", Int, fun o -> o.o_runs);
+        F ("events", Int, fun o -> o.o_events);
+        F ("violations", Int, fun o -> if o.o_violation = None then 0 else 1);
+        F ( "violation",
+            Opt
+              (Obj
+                 [
+                   F ("preemptions_fired", Int, fun v -> List.length v.v_fired);
+                   F ("preemptions_minimized", Int, fun v -> List.length v.v_minimized);
+                   F ("core_events", Int, fun v -> List.length v.v_core);
+                   F ("repro", Str, fun v -> v.v_repro);
+                 ]),
+            fun o -> o.o_violation );
+      ])

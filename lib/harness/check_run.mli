@@ -7,7 +7,7 @@
     mixes x key distributions x (policy, seed) schedules — and reports any
     [Illegal] verdict as a found atomicity bug, with the fired preemption
     set greedily shrunk to a minimal deterministic counterexample and a
-    one-line repro descriptor that [euno_check --repro] replays.
+    one-line repro descriptor that [euno_repro check --repro] replays.
 
     Validation is mutation-driven: {!hunt_mutations} flips the [Testonly]
     switches that reintroduce historical protocol bugs and must catch each
@@ -125,6 +125,9 @@ val clean : outcome list -> bool
 
 val print : out_channel -> outcome list -> unit
 
-val to_records : ?experiment:string -> outcome list -> Euno_stats.Json.t list
-(** Schema-v1 ["check"] records, one per outcome
-    ({!Report.check_to_json}). *)
+val record : outcome Schema.kind
+(** The schema-v1 ["check"] record: the tree, op mix, distribution and
+    mutation explored, the (policy, seed) budget spent, the history events
+    checked, and on a violation the counterexample sizes (preemptions
+    fired, preemptions after shrinking, core events) plus the one-line
+    repro descriptor. *)

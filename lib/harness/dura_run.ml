@@ -44,7 +44,6 @@ module Alloc = Euno_mem.Alloc
 module Epoch = Euno_mem.Epoch
 module Barrier = Euno_sync.Barrier
 module Htm = Euno_htm.Htm
-module Json = Euno_stats.Json
 module Oplog = Euno_dura.Oplog
 module Dura = Euno_dura.Dura
 module Checker = Euno_dura.Checker
@@ -589,35 +588,44 @@ let run_mutants ?seeds ?base_seed () =
 
 (* ---------- reporting ---------- *)
 
-let cell_to_json ?experiment c =
-  Json.Obj
-    (Report.context_fields ?experiment ~record:"recovery" ()
-    @ [
-        ("tree", Json.Str c.d_name);
-        ("threads", Json.Int c.d_threads);
-        ("seed", Json.Int c.d_seed);
-        ("horizon_cycles", Json.Int c.d_horizon);
-        ("plan", Plan.to_json c.d_plan);
-        ("crashed", Json.Bool c.d_crashed);
-        ("crash_cycle", Json.Int c.d_crash_cycle);
-        ("restore_mode", Json.Str (restore_mode_name c.d_restore));
-        ("ops", Json.Int c.d_ops);
-        ("failed_ops", Json.Int c.d_failed_ops);
-        ("snapshots_taken", Json.Int c.d_snapshots_taken);
-        ("snapshot_lsn", Json.Int c.d_snapshot_lsn);
-        ("log_len", Json.Int c.d_log_len);
-        ("flushed_lsn", Json.Int c.d_flushed_lsn);
-        ("lost_suffix", Json.Int c.d_lost);
-        ("replayed", Json.Int c.d_replayed);
-        ("rerun", Json.Int c.d_rerun);
-        ("swept_locks", Json.Int c.d_swept_locks);
-        ("stuck_recovery_ops", Json.Int c.d_stuck_ops);
-        ("recovery_cycles", Json.Int c.d_recovery_cycles);
-        ("work_bound_cycles", Json.Int c.d_work_bound);
-        ("recovered", Json.Bool (Checker.clean c.d_findings));
-        ("findings_total", Json.Int (List.length c.d_findings));
-        ( "findings",
-          Json.List (List.map Checker.finding_to_json c.d_findings) );
+let record =
+  Schema.(
+    kind ~record:"recovery"
+      [
+        F ("tree", Str, fun c -> c.d_name);
+        F ("threads", Int, fun c -> c.d_threads);
+        F ("seed", Int, fun c -> c.d_seed);
+        F ("horizon_cycles", Int, fun c -> c.d_horizon);
+        F ( "plan",
+            Raw (fun j -> Result.is_ok (Plan.of_json j)),
+            fun c -> Plan.to_json c.d_plan );
+        F ("crashed", Bool, fun c -> c.d_crashed);
+        F ("crash_cycle", Int, fun c -> c.d_crash_cycle);
+        F ( "restore_mode",
+            Enum (List.map restore_mode_name [ Rebuild; In_place ]),
+            fun c -> restore_mode_name c.d_restore );
+        F ("ops", Int, fun c -> c.d_ops);
+        F ("failed_ops", Int, fun c -> c.d_failed_ops);
+        F ("snapshots_taken", Int, fun c -> c.d_snapshots_taken);
+        F ("snapshot_lsn", Int, fun c -> c.d_snapshot_lsn);
+        F ("log_len", Int, fun c -> c.d_log_len);
+        F ("flushed_lsn", Int, fun c -> c.d_flushed_lsn);
+        F ("lost_suffix", Int, fun c -> c.d_lost);
+        F ("replayed", Int, fun c -> c.d_replayed);
+        F ("rerun", Int, fun c -> c.d_rerun);
+        F ("swept_locks", Int, fun c -> c.d_swept_locks);
+        F ("stuck_recovery_ops", Int, fun c -> c.d_stuck_ops);
+        F ("recovery_cycles", Int, fun c -> c.d_recovery_cycles);
+        F ("work_bound_cycles", Int, fun c -> c.d_work_bound);
+        F ("recovered", Bool, fun c -> Checker.clean c.d_findings);
+        F ("findings_total", Int, fun c -> List.length c.d_findings);
+        F ( "findings",
+            List
+              [
+                F ("kind", Str, fun (f : Checker.finding) -> Checker.kind_name f.f_kind);
+                F ("detail", Str, fun f -> f.Checker.f_detail);
+              ],
+            fun c -> c.d_findings );
       ])
 
 let print_cells cells =

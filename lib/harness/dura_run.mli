@@ -127,9 +127,11 @@ val run_mutants : ?seeds:int -> ?base_seed:int -> unit -> mutant_outcome list
 
 (** {1 Reporting} *)
 
-val cell_to_json : ?experiment:string -> cell -> Euno_stats.Json.t
-(** One schema-v1 ["recovery"] record ({!Report.validate_recovery} is the
-    contract). *)
+val record : cell Schema.kind
+(** The schema-v1 ["recovery"] record: one per crash cell — durability
+    state at the crash (snapshot / log positions, lost suffix), recovery
+    work (replayed, re-run, stuck ops, cycles vs. the linear bound) and
+    the checker's findings. *)
 
 val print_cells : cell list -> unit
 val print_mutants : mutant_outcome list -> unit

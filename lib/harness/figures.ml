@@ -807,8 +807,27 @@ let methodology ?domains scale =
    euno_repro flushes into the --json document. *)
 
 (* euno-lint: allow domain-shared-state: main-domain accumulator; cells return results, main appends in canonical order *)
-let sweep_acc : Report.Json.t list ref = ref []
+let sweep_acc : Schema.Json.t list ref = ref []
 let sweep_records () = List.rev !sweep_acc
+
+(* One record per campaign cell: the figure cell (figure, tree, theta,
+   threads) crossed with the {strategy} x {capacity model} matrix,
+   flattened to the metrics the per-figure comparison tables and
+   EXPERIMENTS.md's collapse-shape analysis read. *)
+let sweep_record =
+  let result names = Schema.(on (fun (_, _, r) -> r) (select names Runner.fields)) in
+  Schema.(
+    kind ~record:"sweep"
+      ((F ("figure", Str, fun (figure, _, _) -> figure)
+       :: result [ "tree"; "strategy"; "capacity_model"; "threads" ])
+      @ F ("theta", Float, fun (_, theta, _) -> theta)
+        :: result
+             [
+               "ops"; "mops"; "aborts_per_op"; "commits_per_op"; "wasted_pct";
+               "fallbacks_per_op"; "lock_wait_pct"; "fast_path_wins_per_op";
+               "middle_path_wins_per_op"; "software_path_wins_per_op";
+               "helped_ops_per_op";
+             ]))
 
 let sweep_combos =
   List.concat_map
@@ -854,7 +873,7 @@ let strategy_sweep ?domains scale =
     in
     List.iter2
       (fun (figure, _, theta, _, _) r ->
-        sweep_acc := Report.sweep_to_json ~figure ~theta r :: !sweep_acc)
+        sweep_acc := Schema.encode sweep_record (figure, theta, r) :: !sweep_acc)
       cells rs;
     chunk (List.length sweep_combos) rs
   in

@@ -84,7 +84,12 @@ val strategy_sweep : ?domains:int -> scale -> unit
     2 thetas; Figure 10 = the two B+Trees over 2 thetas x the [{1, 4, 16}]
     thread points that fit [scale.max_threads]. *)
 
-val sweep_records : unit -> Report.Json.t list
+val sweep_record : (string * float * Runner.result) Schema.kind
+(** The schema-v1 ["sweep"] record of one (figure, theta, result) cell:
+    figure cell coordinates, the strategy/capacity-model pair and the
+    flattened metric set. *)
+
+val sweep_records : unit -> Schema.Json.t list
 (** The ["sweep"] records of the last {!strategy_sweep} run (emission
     order); cleared at the start of each run. *)
 

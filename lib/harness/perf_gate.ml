@@ -40,6 +40,23 @@ type comparison = {
   c_ok : bool;
 }
 
+(* One probe per record; [metric] names the unit and implies the
+   direction of "worse". *)
+let record =
+  Schema.(
+    kind ~record:"perf"
+      [
+        F ("name", Str, fun p -> p.p_name);
+        strategy (fun p -> p.p_strategy);
+        capacity_model (fun p -> p.p_capacity_model);
+        F ("metric", Str, fun p -> p.p_metric);
+        F ("value", Float, fun p -> p.p_value);
+      ])
+
+(* Engine micro-benchmark timings (bench/main.exe): (name, ns per call). *)
+let micro =
+  Schema.(kind ~record:"micro" [ F ("name", Str, fst); F ("ns_per_call", Float, snd) ])
+
 let probes_of_document json =
   match Json.member "records" json with
   | Some (Json.List records) ->
@@ -48,7 +65,7 @@ let probes_of_document json =
         | r :: rest -> (
             match Json.member "record" r with
             | Some (Json.Str "perf") -> (
-                match Report.validate_perf r with
+                match Schema.validate record r with
                 | Error e -> Error e
                 | Ok () ->
                     let str f = Option.get (Json.as_string (Option.get (Json.member f r))) in
@@ -122,19 +139,7 @@ let compare_probes ~band ~baseline ~current =
 
 let all_ok = List.for_all (fun c -> c.c_ok)
 
-let probe_to_json p =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Report.schema_version);
-      ("record", Json.Str "perf");
-      ("name", Json.Str p.p_name);
-      ("strategy", Json.Str p.p_strategy);
-      ("capacity_model", Json.Str p.p_capacity_model);
-      ("metric", Json.Str p.p_metric);
-      ("value", Json.Float p.p_value);
-    ]
-
 (* A baseline file is itself a schema-versioned document holding only perf
    records, so euno_schema_check validates it too. *)
 let baseline_document probes =
-  Report.document ~experiment:"perf-baseline" (List.map probe_to_json probes)
+  Schema.document ~experiment:"perf-baseline" (List.map (Schema.encode record) probes)

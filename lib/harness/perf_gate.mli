@@ -46,7 +46,15 @@ val compare_probes :
 
 val all_ok : comparison list -> bool
 
-val probe_to_json : probe -> Json.t
+val record : probe Schema.kind
+(** The schema-v1 ["perf"] record the bench driver emits and the
+    [euno_perf_check] gate consumes: [name], [strategy], [capacity_model]
+    (names the binaries accept), [metric] (unit and better-direction) and
+    numeric [value]. *)
+
+val micro : (string * float) Schema.kind
+(** The ["micro"] record of an engine micro-benchmark: [name] and
+    [ns_per_call]. *)
 
 val baseline_document : probe list -> Json.t
 (** Wrap probes as a schema-versioned document suitable for committing as

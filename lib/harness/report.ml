@@ -1,630 +1,91 @@
-(* Machine-readable telemetry: schema-versioned JSON records for runner
-   results, seed aggregates and windowed counter time series.
+(* Machine-readable telemetry: the run-level record kinds ("result",
+   "window", "aggregate", "lint") and the dispatch that validates every
+   schema-v1 record kind by its discriminator.
 
-   Everything the ASCII tables print is derived from Runner.result; this
-   module is the durable counterpart — the figure CLI and the bench driver
-   write these records so perf trajectories and figure shapes can be
-   diffed, gated and plotted instead of eyeballed.  The schema is
-   deliberately flat (one object per record, snake_case keys) and carries
-   [schema_version] on every document and every JSONL line so downstream
-   consumers can evolve with it. *)
+   Everything the ASCII tables print is derived from Runner.result; these
+   records are the durable counterpart — the figure CLI and the bench
+   driver write them so perf trajectories and figure shapes can be
+   diffed, gated and plotted instead of eyeballed.  The campaign drivers
+   own their kinds (Chaos, Dura_run, San_run, Check_run, Figures,
+   Perf_gate); Schema interprets every table. *)
 
 module Json = Euno_stats.Json
-module Machine = Euno_sim.Machine
-module Abort = Euno_sim.Abort
-module Htm = Euno_htm.Htm
+open Schema
 
-let schema_version = 1
-
-(* ---------- counter labels ---------- *)
-
-(* User-counter indices are owned by the modules that bump them; each owner
-   claims its indices in the machine's registry at module-initialization
-   time, so the labels here can no longer drift from (or collide with) the
-   counters actually in use.  Looked up lazily: linking order already
-   guarantees owners initialize before any report is rendered, but there is
-   no reason to freeze the registry at this module's own init. *)
-let user_counter_label i =
-  match List.assoc_opt i (Machine.user_counter_names ()) with
-  | Some name -> name
-  | None -> Printf.sprintf "user%d" i
-
-let abort_classes_json values =
-  Json.Obj
-    (List.init (Array.length values) (fun i ->
-         (Abort.class_name i, values.(i))))
-
-(* ---------- windowed time series ---------- *)
-
-(* Per-window deltas between consecutive cumulative snapshots: the
-   time-resolved view in which the lemming-effect ignition and the
-   theta > 0.6 collapse onset are visible as a rising aborts/op series
-   rather than a single end-of-run average. *)
-type window = {
-  w_start : int;
-  w_end : int;
-  w_ops : int;
-  w_commits : int;
-  w_aborts : int array;
-  w_fallbacks : int;
-  w_lock_wait_cycles : int;
-  w_wasted_cycles : int;
-  w_accesses : int;
-}
-
-let windows_of_snapshots snaps =
-  let zero = ([||] : int array) in
-  let delta_aborts prev cur =
-    Array.mapi
-      (fun i v -> v - (if prev == zero || Array.length prev = 0 then 0 else prev.(i)))
-      cur
-  in
-  let rec go prev_clock (prev : Machine.snapshot option) acc = function
-    | [] -> List.rev acc
-    | (clock, (s : Machine.snapshot)) :: rest ->
-        let p_ops, p_commits, p_aborts, p_user, p_wasted, p_accesses =
-          match prev with
-          | None -> (0, 0, zero, [||], 0, 0)
-          | Some p ->
-              (p.Machine.s_ops, p.s_commits, p.s_aborts, p.s_user,
-               p.s_wasted_cycles, p.s_accesses)
-        in
-        let user i arr = if Array.length arr = 0 then 0 else arr.(i) in
-        let w =
-          {
-            w_start = prev_clock;
-            w_end = clock;
-            w_ops = s.Machine.s_ops - p_ops;
-            w_commits = s.s_commits - p_commits;
-            w_aborts = delta_aborts p_aborts s.s_aborts;
-            w_fallbacks =
-              user Htm.Counter.fallbacks s.s_user
-              - user Htm.Counter.fallbacks p_user;
-            w_lock_wait_cycles =
-              user Htm.Counter.lock_wait_cycles s.s_user
-              - user Htm.Counter.lock_wait_cycles p_user;
-            w_wasted_cycles = s.s_wasted_cycles - p_wasted;
-            w_accesses = s.s_accesses - p_accesses;
-          }
-        in
-        go clock (Some s) (w :: acc) rest
-  in
-  go 0 None [] snaps
-
-let window_aborts_total w = Array.fold_left ( + ) 0 w.w_aborts
-
-let window_to_json w =
-  let fops = float_of_int (max 1 w.w_ops) in
-  Json.Obj
-    [
-      ("window_start", Json.Int w.w_start);
-      ("window_end", Json.Int w.w_end);
-      ("ops", Json.Int w.w_ops);
-      ("commits", Json.Int w.w_commits);
-      ("aborts_total", Json.Int (window_aborts_total w));
-      ( "aborts",
-        abort_classes_json (Array.map (fun v -> Json.Int v) w.w_aborts) );
-      ("aborts_per_op", Json.Float (float_of_int (window_aborts_total w) /. fops));
-      ("fallbacks", Json.Int w.w_fallbacks);
-      ("lock_wait_cycles", Json.Int w.w_lock_wait_cycles);
-      ("wasted_cycles", Json.Int w.w_wasted_cycles);
-      ("accesses", Json.Int w.w_accesses);
-    ]
-
-(* ---------- result and aggregate records ---------- *)
-
-let context_fields ?experiment ?run ~record () =
-  ("schema_version", Json.Int schema_version)
-  :: ("record", Json.Str record)
-  ::
-  ((match experiment with
-   | Some e -> [ ("experiment", Json.Str e) ]
-   | None -> [])
-  @
-  match run with
-  | Some i -> [ ("run", Json.Int i) ]
-  | None -> [])
-
-let result_to_json ?experiment ?run (r : Runner.result) =
-  Json.Obj
-    (context_fields ?experiment ?run ~record:"result" ()
-    @ [
-        ("tree", Json.Str r.Runner.r_name);
-        ("strategy", Json.Str r.r_strategy);
-        ("capacity_model", Json.Str r.r_capacity_model);
-        ("threads", Json.Int r.r_threads);
-        ("ops", Json.Int r.r_ops);
-        ("cycles", Json.Int r.r_cycles);
-        ("mops", Json.Float r.r_mops);
-        ("aborts_per_op", Json.Float r.r_aborts_per_op);
-        ( "abort_classes",
-          abort_classes_json (Array.map (fun v -> Json.Float v) r.r_abort_classes)
-        );
-        ("commits_per_op", Json.Float r.r_commits_per_op);
-        ("wasted_pct", Json.Float r.r_wasted_pct);
-        ("fallbacks_per_op", Json.Float r.r_fallbacks_per_op);
-        ("retries_per_op", Json.Float r.r_retries_per_op);
-        ("lock_wait_pct", Json.Float r.r_lock_wait_pct);
-        ("consistency_retries_per_op", Json.Float r.r_consistency_retries_per_op);
-        ("watchdog_trips_per_op", Json.Float r.r_watchdog_trips_per_op);
-        ("starvation_backoffs_per_op", Json.Float r.r_starvation_backoffs_per_op);
-        ("convoy_events_per_op", Json.Float r.r_convoy_events_per_op);
-        ("fast_path_wins_per_op", Json.Float r.r_fast_path_wins_per_op);
-        ("middle_path_wins_per_op", Json.Float r.r_middle_path_wins_per_op);
-        ("software_path_wins_per_op", Json.Float r.r_software_path_wins_per_op);
-        ("helped_ops_per_op", Json.Float r.r_helped_ops_per_op);
-        ("instr_per_op", Json.Float r.r_instr_per_op);
-        ("lat_p50", Json.Int r.r_lat_p50);
-        ("lat_p99", Json.Int r.r_lat_p99);
-        ( "mem",
-          Json.Obj
-            [
-              ("preload_bytes", Json.Int r.r_mem_preload_bytes);
-              ("live_bytes", Json.Int r.r_mem_live_bytes);
-              ("reserved_peak_bytes", Json.Int r.r_mem_reserved_peak_bytes);
-              ("lock_bytes", Json.Int r.r_mem_lock_bytes);
-            ] );
-        ( "snapshots",
-          Json.List
-            (List.map window_to_json (windows_of_snapshots r.r_snapshots)) );
-      ])
-
-(* ---------- sanitizer records ---------- *)
-
-let san_finding_to_json (f : Euno_san.San.finding) =
-  Json.Obj
-    [
-      ("kind", Json.Str (Euno_san.San.kind_name f.Euno_san.San.f_kind));
-      ("subject", Json.Str f.f_subject);
-      ("tid", Json.Int f.f_tid);
-      ("clock", Json.Int f.f_clock);
-      ("detail", Json.Str f.f_detail);
-    ]
-
-(* One record per sanitized run: the verdict of the EunoSan pass
-   (bin/euno_san and the euno_repro san subcommand emit these). *)
-let san_to_json ?experiment ?run ~tree ~workload ~strategy ~capacity_model
-    ~threads ~seed (s : Euno_san.San.summary) =
-  Json.Obj
-    (context_fields ?experiment ?run ~record:"san" ()
-    @ [
-        ("tree", Json.Str tree);
-        ("workload", Json.Str workload);
-        ("strategy", Json.Str strategy);
-        ("capacity_model", Json.Str capacity_model);
-        ("threads", Json.Int threads);
-        ("seed", Json.Int seed);
-        ("events", Json.Int s.Euno_san.San.events);
-        ("findings_total", Json.Int s.total);
-        ("findings", Json.List (List.map san_finding_to_json s.findings));
-      ])
-
-(* One record per EunoCheck campaign cell: the exploration budget spent
-   and, on a violation, the size of the counterexample before/after
-   shrinking plus the one-line repro descriptor (bin/euno_check and the
-   euno_repro check subcommand emit these). *)
-let check_to_json ?experiment ?run ~tree ~mix ~dist ~mutation ~strategy
-    ~capacity_model ~threads ~seed ~policy ~runs ~events ~violation () =
-  Json.Obj
-    (context_fields ?experiment ?run ~record:"check" ()
-    @ [
-        ("tree", Json.Str tree);
-        ("mix", Json.Str mix);
-        ("dist", Json.Str dist);
-        ("mutation", Json.Str mutation);
-        ("strategy", Json.Str strategy);
-        ("capacity_model", Json.Str capacity_model);
-        ("threads", Json.Int threads);
-        ("seed", Json.Int seed);
-        ("policy", Json.Str policy);
-        ("runs", Json.Int runs);
-        ("events", Json.Int events);
-        ("violations", Json.Int (match violation with None -> 0 | Some _ -> 1));
-      ]
-    @
-    match violation with
-    | None -> []
-    | Some (fired, minimized, core, repro) ->
-        [
-          ( "violation",
-            Json.Obj
-              [
-                ("preemptions_fired", Json.Int fired);
-                ("preemptions_minimized", Json.Int minimized);
-                ("core_events", Json.Int core);
-                ("repro", Json.Str repro);
-              ] );
-        ])
-
-(* One record per strategy-sweep campaign cell: a figure cell (figure,
-   tree, theta, threads) crossed with the {strategy} x {capacity model}
-   matrix, flattened to the metrics the per-figure comparison tables and
-   EXPERIMENTS.md's collapse-shape analysis read (Figures.strategy_sweep
-   emits these through euno_repro's --json sink). *)
-let sweep_to_json ?experiment ?run ~figure ~theta (r : Runner.result) =
-  Json.Obj
-    (context_fields ?experiment ?run ~record:"sweep" ()
-    @ [
-        ("figure", Json.Str figure);
-        ("tree", Json.Str r.Runner.r_name);
-        ("strategy", Json.Str r.r_strategy);
-        ("capacity_model", Json.Str r.r_capacity_model);
-        ("threads", Json.Int r.r_threads);
-        ("theta", Json.Float theta);
-        ("ops", Json.Int r.r_ops);
-        ("mops", Json.Float r.r_mops);
-        ("aborts_per_op", Json.Float r.r_aborts_per_op);
-        ("commits_per_op", Json.Float r.r_commits_per_op);
-        ("wasted_pct", Json.Float r.r_wasted_pct);
-        ("fallbacks_per_op", Json.Float r.r_fallbacks_per_op);
-        ("lock_wait_pct", Json.Float r.r_lock_wait_pct);
-        ("fast_path_wins_per_op", Json.Float r.r_fast_path_wins_per_op);
-        ("middle_path_wins_per_op", Json.Float r.r_middle_path_wins_per_op);
-        ("software_path_wins_per_op", Json.Float r.r_software_path_wins_per_op);
-        ("helped_ops_per_op", Json.Float r.r_helped_ops_per_op);
-      ])
-
-let aggregate_to_json ?experiment (a : Runner.aggregate) =
-  Json.Obj
-    (context_fields ?experiment ~record:"aggregate" ()
-    @ [
-        ("runs", Json.Int (List.length a.Runner.a_runs));
-        ("mean_mops", Json.Float a.a_mean_mops);
-        ("stddev_mops", Json.Float a.a_stddev_mops);
-        ("min_mops", Json.Float a.a_min_mops);
-        ("max_mops", Json.Float a.a_max_mops);
-        ( "results",
-          Json.List (List.map (fun r -> result_to_json r) a.Runner.a_runs) );
-      ])
+let result = kind ~record:"result" Runner.fields
+let result_to_json ?experiment ?run r = encode ?experiment ?run result r
 
 (* One JSONL line per window of one run, self-describing (schema version,
    experiment, tree, threads) so lines from different runs can be
    concatenated and still grouped downstream. *)
+let window =
+  kind ~record:"window"
+    (on fst (select [ "tree"; "threads" ] Runner.fields) @ on snd window_fields)
+
 let snapshot_lines ?experiment ?run (r : Runner.result) =
   List.map
-    (fun w ->
-      match window_to_json w with
-      | Json.Obj fields ->
-          Json.Obj
-            (context_fields ?experiment ?run ~record:"window" ()
-            @ [
-                ("tree", Json.Str r.Runner.r_name);
-                ("threads", Json.Int r.r_threads);
-              ]
-            @ fields)
-      | other -> other)
-    (windows_of_snapshots r.Runner.r_snapshots)
+    (fun w -> encode ?experiment ?run window (r, w))
+    (windows_of_snapshots r.r_snapshots)
 
-(* ---------- documents and files ---------- *)
-
-let document ~experiment records =
-  Json.Obj
+let aggregate =
+  kind ~record:"aggregate"
     [
-      ("schema_version", Json.Int schema_version);
-      ("generator", Json.Str "euno-repro");
-      ("experiment", Json.Str experiment);
-      ("records", Json.List records);
+      F ("runs", Int, fun (a : Runner.aggregate) -> List.length a.a_runs);
+      F ("mean_mops", Float, fun a -> a.a_mean_mops);
+      F ("stddev_mops", Float, fun a -> a.a_stddev_mops);
+      F ("min_mops", Float, fun a -> a.a_min_mops);
+      F ("max_mops", Float, fun a -> a.a_max_mops);
+      F ( "results",
+          Raw
+            (function
+            | Json.List rs -> List.for_all (fun r -> validate result r = Ok ()) rs
+            | _ -> false),
+          fun a -> Json.List (List.map (encode result) a.a_runs) );
     ]
 
-let write_file path json =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc
+(* One EunoLint finding (bin/euno_lint --json): the source coordinate,
+   the rule-id (closed vocabulary — drift between the engine and the
+   schema is itself a schema error), and the reason of the allow
+   directive that muted it, if one did. *)
+let lint =
+  kind ~record:"lint"
+    ~rule:(fun j ->
+      match (Json.member "suppressed" j, Json.member "reason" j) with
+      | Some (Json.Bool true), None -> Error "missing field 'reason'"
+      | Some (Json.Bool false), Some _ ->
+          Error "field 'reason' present on an unsuppressed lint finding"
+      | _ -> Ok ())
+    [
+      F ("file", Str, fun ((f : Eunolint.Rules.finding), _) -> f.file);
+      F ("line", Int, fun (f, _) -> f.line);
+      F ("col", Int, fun (f, _) -> f.col);
+      F ("rule", Enum Eunolint.Lint.rule_names, fun (f, _) -> f.rule);
+      F ("msg", Str, fun (f, _) -> f.msg);
+      F ("suppressed", Bool, fun (_, reason) -> reason <> None);
+      F ("reason", Opt Str, snd);
+    ]
 
-let write_jsonl path lines =
-  let oc = open_out path in
-  List.iter
-    (fun json ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n')
-    lines;
-  close_out oc
-
-(* ---------- schema validation ---------- *)
-
-(* Field-presence/type validation of our own output: cheap enough for CI
-   smoke checks and round-trip tests, strict enough to catch a renamed or
-   dropped field before a downstream plotting script does. *)
-
-let check cond msg = if cond then Ok () else Error msg
-
-let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
-
-let require_field obj name kind_ok =
-  match Json.member name obj with
-  | None -> Error (Printf.sprintf "missing field '%s'" name)
-  | Some v -> check (kind_ok v) (Printf.sprintf "field '%s' has wrong type" name)
-
-let is_int v = Json.as_int v <> None
-let is_num v = Json.as_float v <> None
-let is_str v = Json.as_string v <> None
-let is_obj v = Json.as_obj v <> None
-let is_list v = Json.as_list v <> None
-let is_bool v = match v with Json.Bool _ -> true | _ -> false
-
-let validate_version obj =
-  match Json.member "schema_version" obj with
-  | Some (Json.Int v) when v = schema_version -> Ok ()
-  | Some (Json.Int v) ->
-      Error (Printf.sprintf "schema_version %d, expected %d" v schema_version)
-  | _ -> Error "missing schema_version"
-
-(* Records that describe a run carry the fallback strategy and capacity
-   model it was executed under; both must be names the binaries actually
-   accept, so a sweep writing a typo'd cell fails schema check instead of
-   silently partitioning downstream plots. *)
-let require_strategy_fields obj =
-  let named field names =
-    match Json.member field obj with
-    | None -> Error (Printf.sprintf "missing field '%s'" field)
-    | Some v -> (
-        match Json.as_string v with
-        | None -> Error (Printf.sprintf "field '%s' has wrong type" field)
-        | Some s ->
-            check (List.mem s names)
-              (Printf.sprintf "field '%s' has unknown value '%s'" field s))
-  in
-  let* () = named "strategy" Htm.strategy_names in
-  named "capacity_model" Euno_sim.Cost.capacity_model_names
-
-let validate_result obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "tree" is_str in
-  let* () = require_strategy_fields obj in
-  let* () = require_field obj "threads" is_int in
-  let* () = require_field obj "ops" is_int in
-  let* () = require_field obj "cycles" is_int in
-  let* () = require_field obj "mops" is_num in
-  let* () = require_field obj "aborts_per_op" is_num in
-  let* () = require_field obj "abort_classes" is_obj in
-  let* () = require_field obj "wasted_pct" is_num in
-  let* () = require_field obj "watchdog_trips_per_op" is_num in
-  let* () = require_field obj "starvation_backoffs_per_op" is_num in
-  let* () = require_field obj "convoy_events_per_op" is_num in
-  let* () = require_field obj "fast_path_wins_per_op" is_num in
-  let* () = require_field obj "middle_path_wins_per_op" is_num in
-  let* () = require_field obj "software_path_wins_per_op" is_num in
-  let* () = require_field obj "helped_ops_per_op" is_num in
-  let* () = require_field obj "lat_p50" is_int in
-  let* () = require_field obj "lat_p99" is_int in
-  let* () = require_field obj "mem" is_obj in
-  require_field obj "snapshots" is_list
-
-let validate_window obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "window_start" is_int in
-  let* () = require_field obj "window_end" is_int in
-  let* () = require_field obj "ops" is_int in
-  let* () = require_field obj "commits" is_int in
-  let* () = require_field obj "aborts" is_obj in
-  let* () = require_field obj "aborts_per_op" is_num in
-  let* () = require_field obj "fallbacks" is_int in
-  require_field obj "wasted_cycles" is_int
-
-let validate_aggregate obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "runs" is_int in
-  let* () = require_field obj "mean_mops" is_num in
-  let* () =
-    match Json.member "results" obj with
-    | Some (Json.List rs) ->
-        List.fold_left
-          (fun acc r -> match acc with Error _ -> acc | Ok () -> validate_result r)
-          (Ok ()) rs
-    | _ -> Error "missing results list"
-  in
-  Ok ()
-
-(* Chaos records are produced by the Chaos harness (fault-injection
-   campaigns); Chaos builds the JSON, this is its contract. *)
-let validate_chaos obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "tree" is_str in
-  let* () = require_field obj "threads" is_int in
-  let* () = require_field obj "seed" is_int in
-  let* () = require_field obj "horizon_cycles" is_int in
-  let* () = require_field obj "plan" is_list in
-  let* () = require_field obj "ops" is_int in
-  let* () = require_field obj "failed_ops" is_int in
-  let* () = require_field obj "cycles" is_int in
-  let* () = require_field obj "mops_clean" is_num in
-  let* () = require_field obj "mops_fault" is_num in
-  let* () = require_field obj "mops_after" is_num in
-  let* () = require_field obj "recovery_cycles" is_int in
-  let* () = require_field obj "recovered" is_bool in
-  let* () = require_field obj "invariant_violations" is_int in
-  let* () = require_field obj "model_mismatches" is_int in
-  let* () = require_field obj "checkpoints" is_int in
-  let* () = require_field obj "aborts" is_obj in
-  let* () = require_field obj "degradation" is_obj in
-  require_field obj "snapshots" is_list
-
-(* Recovery records are produced by the Dura_run harness (crash-recovery
-   campaigns): one record per crash cell, carrying the durability state
-   at the crash (snapshot/log positions, lost suffix), the recovery work
-   actually done (replayed / re-run / stuck ops, cycles vs. the linear
-   bound) and the checker verdict. *)
-let validate_recovery obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "tree" is_str in
-  let* () = require_field obj "threads" is_int in
-  let* () = require_field obj "seed" is_int in
-  let* () = require_field obj "horizon_cycles" is_int in
-  let* () = require_field obj "crash_cycle" is_int in
-  let* () = require_field obj "plan" is_list in
-  let* () = require_field obj "snapshots_taken" is_int in
-  let* () = require_field obj "snapshot_lsn" is_int in
-  let* () = require_field obj "log_len" is_int in
-  let* () = require_field obj "flushed_lsn" is_int in
-  let* () = require_field obj "lost_suffix" is_int in
-  let* () = require_field obj "replayed" is_int in
-  let* () = require_field obj "rerun" is_int in
-  let* () = require_field obj "stuck_recovery_ops" is_int in
-  let* () = require_field obj "recovery_cycles" is_int in
-  let* () = require_field obj "work_bound_cycles" is_int in
-  let* () = require_field obj "recovered" is_bool in
-  let* () = require_field obj "findings_total" is_int in
-  match Json.member "findings" obj with
-  | Some (Json.List fs) ->
-      List.fold_left
-        (fun acc f ->
-          match acc with
-          | Error _ -> acc
-          | Ok () ->
-              let* () = require_field f "kind" is_str in
-              require_field f "detail" is_str)
-        (Ok ()) fs
-  | _ -> Error "missing findings list"
-
-(* Perf records feed the regression gate (bin/euno_perf_check): one probe
-   per record, compared against bench/baseline.json by name.  [metric]
-   names the unit and implies the direction of "worse" (see Perf_gate). *)
-let validate_perf obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "name" is_str in
-  let* () = require_strategy_fields obj in
-  let* () = require_field obj "metric" is_str in
-  require_field obj "value" is_num
-
-(* San records carry the sanitizer verdict of one run; [findings] entries
-   are objects with kind/subject/tid/clock/detail. *)
-let validate_san obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "tree" is_str in
-  let* () = require_field obj "workload" is_str in
-  let* () = require_strategy_fields obj in
-  let* () = require_field obj "threads" is_int in
-  let* () = require_field obj "seed" is_int in
-  let* () = require_field obj "events" is_int in
-  let* () = require_field obj "findings_total" is_int in
-  match Json.member "findings" obj with
-  | Some (Json.List fs) ->
-      List.fold_left
-        (fun acc f ->
-          match acc with
-          | Error _ -> acc
-          | Ok () ->
-              let* () = require_field f "kind" is_str in
-              let* () = require_field f "subject" is_str in
-              let* () = require_field f "tid" is_int in
-              let* () = require_field f "clock" is_int in
-              require_field f "detail" is_str)
-        (Ok ()) fs
-  | _ -> Error "missing findings list"
-
-(* Check records carry one EunoCheck campaign cell; a nested [violation]
-   object (with the shrunk counterexample and repro line) appears exactly
-   when [violations] is non-zero. *)
-let validate_check obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "tree" is_str in
-  let* () = require_field obj "mix" is_str in
-  let* () = require_field obj "dist" is_str in
-  let* () = require_field obj "mutation" is_str in
-  let* () = require_strategy_fields obj in
-  let* () = require_field obj "threads" is_int in
-  let* () = require_field obj "seed" is_int in
-  let* () = require_field obj "policy" is_str in
-  let* () = require_field obj "runs" is_int in
-  let* () = require_field obj "events" is_int in
-  let* () = require_field obj "violations" is_int in
-  match (Json.member "violations" obj, Json.member "violation" obj) with
-  | Some (Json.Int 0), None -> Ok ()
-  | Some (Json.Int 0), Some _ -> Error "violation object with violations = 0"
-  | Some (Json.Int _), Some v ->
-      let* () = require_field v "preemptions_fired" is_int in
-      let* () = require_field v "preemptions_minimized" is_int in
-      let* () = require_field v "core_events" is_int in
-      require_field v "repro" is_str
-  | _ -> Error "missing violation object"
-
-(* Sweep records carry one strategy x capacity-model campaign cell: the
-   figure cell coordinates plus the flattened throughput/abort/path-win
-   metrics (Figures.strategy_sweep emits them via sweep_to_json). *)
-let validate_sweep obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "figure" is_str in
-  let* () = require_field obj "tree" is_str in
-  let* () = require_strategy_fields obj in
-  let* () = require_field obj "threads" is_int in
-  let* () = require_field obj "theta" is_num in
-  let* () = require_field obj "ops" is_int in
-  let* () = require_field obj "mops" is_num in
-  let* () = require_field obj "aborts_per_op" is_num in
-  let* () = require_field obj "commits_per_op" is_num in
-  let* () = require_field obj "wasted_pct" is_num in
-  let* () = require_field obj "fallbacks_per_op" is_num in
-  let* () = require_field obj "lock_wait_pct" is_num in
-  let* () = require_field obj "fast_path_wins_per_op" is_num in
-  let* () = require_field obj "middle_path_wins_per_op" is_num in
-  let* () = require_field obj "software_path_wins_per_op" is_num in
-  require_field obj "helped_ops_per_op" is_num
-
-(* Lint records carry one EunoLint finding (bin/euno_lint --json): the
-   source coordinate, the rule-id (closed vocabulary — drift between the
-   engine and the schema is itself a schema error), and whether a
-   reasoned allow-directive muted it. *)
-let lint_to_json ?experiment ~file ~line ~col ~rule ~msg ?reason () =
-  Json.Obj
-    (context_fields ?experiment ~record:"lint" ()
-    @ [
-        ("file", Json.Str file);
-        ("line", Json.Int line);
-        ("col", Json.Int col);
-        ("rule", Json.Str rule);
-        ("msg", Json.Str msg);
-        ("suppressed", Json.Bool (reason <> None));
-      ]
-    @ match reason with Some r -> [ ("reason", Json.Str r) ] | None -> [])
-
-let validate_lint obj =
-  let* () = validate_version obj in
-  let* () = require_field obj "file" is_str in
-  let* () = require_field obj "line" is_int in
-  let* () = require_field obj "col" is_int in
-  let* () = require_field obj "rule" is_str in
-  let* () = require_field obj "msg" is_str in
-  let* () = require_field obj "suppressed" is_bool in
-  let rule =
-    match Json.member "rule" obj with Some (Json.Str r) -> r | _ -> ""
-  in
-  if not (List.mem rule Eunolint.Lint.rule_names) then
-    Error (Printf.sprintf "unknown lint rule '%s'" rule)
-  else
-    match (Json.member "suppressed" obj, Json.member "reason" obj) with
-    | Some (Json.Bool true), _ -> require_field obj "reason" is_str
-    | Some (Json.Bool false), Some _ ->
-        Error "reason present on an unsuppressed lint finding"
-    | _ -> Ok ()
-
+(* A literal match on the discriminator, so EunoLint's schema-drift rule
+   can see which kinds are dispatched. *)
 let validate_record obj =
   match Json.member "record" obj with
-  | Some (Json.Str "result") -> validate_result obj
-  | Some (Json.Str "window") -> validate_window obj
-  | Some (Json.Str "aggregate") -> validate_aggregate obj
-  | Some (Json.Str "chaos") -> validate_chaos obj
-  | Some (Json.Str "recovery") -> validate_recovery obj
-  | Some (Json.Str "perf") -> validate_perf obj
-  | Some (Json.Str "san") -> validate_san obj
-  | Some (Json.Str "check") -> validate_check obj
-  | Some (Json.Str "sweep") -> validate_sweep obj
-  | Some (Json.Str "lint") -> validate_lint obj
-  | Some (Json.Str "micro") ->
-      let* () = require_field obj "name" is_str in
-      require_field obj "ns_per_call" is_num
-  | Some (Json.Str other) -> Error (Printf.sprintf "unknown record type '%s'" other)
-  | _ -> Error "missing record type"
+  | Some (Json.Str kind) -> (
+      match kind with
+      | "result" -> validate result obj
+      | "window" -> validate window obj
+      | "aggregate" -> validate aggregate obj
+      | "chaos" -> validate Chaos.record obj
+      | "recovery" -> validate Dura_run.record obj
+      | "perf" -> validate Perf_gate.record obj
+      | "micro" -> validate Perf_gate.micro obj
+      | "san" -> validate San_run.record obj
+      | "check" -> validate Check_run.record obj
+      | "sweep" -> validate Figures.sweep_record obj
+      | "lint" -> validate lint obj
+      | other -> Error (Printf.sprintf "unknown record type '%s'" other))
+  | _ -> Error "field 'record' is missing or not a string"
 
-let validate_document json =
-  let* () = validate_version json in
-  let* () = require_field json "experiment" is_str in
-  match Json.member "records" json with
-  | Some (Json.List records) ->
-      List.fold_left
-        (fun acc r -> match acc with Error _ -> acc | Ok () -> validate_record r)
-        (Ok ()) records
-  | _ -> Error "missing records list"
+let validate_document = Schema.validate_document validate_record
 
 (* ---------- collection ---------- *)
 
@@ -659,16 +120,13 @@ let stop_collecting () =
    windowed time series as JSONL (one line per window per run). *)
 let flush_collected ~experiment ?json ?snapshots () =
   let results = collected () in
-  (match json with
-  | Some path ->
-      write_file path
-        (document ~experiment
-           (List.mapi (fun i r -> result_to_json ~experiment ~run:i r) results))
-  | None -> ());
-  match snapshots with
-  | Some path ->
+  Option.iter
+    (fun path ->
+      write_file path (document ~experiment (encode_runs ~experiment result results)))
+    json;
+  Option.iter
+    (fun path ->
       write_jsonl path
-        (List.concat_map
-           (fun (i, r) -> snapshot_lines ~experiment ~run:i r)
-           (List.mapi (fun i r -> (i, r)) results))
-  | None -> ()
+        (List.concat
+           (List.mapi (fun i r -> snapshot_lines ~experiment ~run:i r) results)))
+    snapshots

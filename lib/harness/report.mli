@@ -1,189 +1,45 @@
-(** Machine-readable telemetry: schema-versioned JSON records for runner
-    results, seed aggregates and windowed counter time series.
+(** Machine-readable telemetry: the run-level schema-v1 record kinds and
+    the validator for every record kind.
 
     The figure CLI ([euno_repro <fig> --json out.json --snapshots out.jsonl])
     and the bench driver ([BENCH_results.json]) write these records so perf
     trajectories and figure shapes can be diffed and plotted rather than
-    eyeballed from the ASCII tables.  Every document and every JSONL line
-    carries [schema_version]. *)
+    eyeballed from the ASCII tables.  Field tables and their interpreter
+    live in {!Schema}; each campaign driver owns its own kind. *)
 
 module Json = Euno_stats.Json
 
-val schema_version : int
-(** Version stamped on (and required of) every record.  Currently 1. *)
+(** {1 Record kinds} *)
 
-val user_counter_label : int -> string
-(** Telemetry label for a user-counter index, from the machine's
-    counter registry ({!Euno_sim.Machine.register_user_counters});
-    ["userN"] for unclaimed indices. *)
-
-(** {1 Windowed time series} *)
-
-(** Per-window deltas between consecutive cumulative snapshots of
-    {!Runner.result.r_snapshots} — the time-resolved view in which
-    contention collapse shows up as a rising aborts/op series. *)
-type window = {
-  w_start : int;  (** window start, simulated cycles *)
-  w_end : int;
-  w_ops : int;
-  w_commits : int;
-  w_aborts : int array;  (** by {!Euno_sim.Abort.class_index} *)
-  w_fallbacks : int;
-  w_lock_wait_cycles : int;
-  w_wasted_cycles : int;
-  w_accesses : int;
-}
-
-val windows_of_snapshots :
-  (int * Euno_sim.Machine.snapshot) list -> window list
-
-val window_aborts_total : window -> int
-val window_to_json : window -> Json.t
-
-(** {1 Records} *)
-
-val context_fields :
-  ?experiment:string ->
-  ?run:int ->
-  record:string ->
-  unit ->
-  (string * Json.t) list
-(** The standard record header — [schema_version], the ["record"]
-    discriminator, and optional experiment/run context — for harnesses
-    that assemble their own record bodies. *)
+val result : Runner.result Schema.kind
+(** ["result"]: throughput, abort classes, wasted cycles, latency
+    percentiles, memory footprint and the embedded window series. *)
 
 val result_to_json : ?experiment:string -> ?run:int -> Runner.result -> Json.t
-(** One ["result"] record: throughput, abort classes, wasted cycles,
-    latency percentiles, memory footprint and embedded window series.
-    [run] is the record's position in the experiment's run sequence, which
-    is how sweep points (e.g. fig1's thetas) are told apart downstream. *)
+(** One ["result"] record.  [run] is the record's position in the
+    experiment's run sequence, which is how sweep points (e.g. fig1's
+    thetas) are told apart downstream. *)
 
-val aggregate_to_json : ?experiment:string -> Runner.aggregate -> Json.t
-
-val san_to_json :
-  ?experiment:string ->
-  ?run:int ->
-  tree:string ->
-  workload:string ->
-  strategy:string ->
-  capacity_model:string ->
-  threads:int ->
-  seed:int ->
-  Euno_san.San.summary ->
-  Json.t
-(** One ["san"] record: the EunoSan verdict of a sanitized run — event
-    count, finding total, and the capped finding list (kind, subject,
-    announcing thread, logical clock, detail). *)
-
-val check_to_json :
-  ?experiment:string ->
-  ?run:int ->
-  tree:string ->
-  mix:string ->
-  dist:string ->
-  mutation:string ->
-  strategy:string ->
-  capacity_model:string ->
-  threads:int ->
-  seed:int ->
-  policy:string ->
-  runs:int ->
-  events:int ->
-  violation:(int * int * int * string) option ->
-  unit ->
-  Json.t
-(** One ["check"] record: an EunoCheck campaign cell — the tree, op mix,
-    distribution and mutation explored, the (policy, seed) budget spent,
-    the history events checked, and on a violation the counterexample
-    sizes (preemptions fired, preemptions after shrinking, core events)
-    plus the one-line repro descriptor. *)
-
-val sweep_to_json :
-  ?experiment:string ->
-  ?run:int ->
-  figure:string ->
-  theta:float ->
-  Runner.result ->
-  Json.t
-(** One ["sweep"] record: a strategy-campaign cell — the figure cell it
-    belongs to ([figure], tree, [theta], threads), the strategy and
-    capacity model it ran under, and the flattened metrics the per-figure
-    comparison tables read (throughput, aborts, fallbacks, lock wait,
-    per-path commit and helping rates). *)
-
-val lint_to_json :
-  ?experiment:string ->
-  file:string ->
-  line:int ->
-  col:int ->
-  rule:string ->
-  msg:string ->
-  ?reason:string ->
-  unit ->
-  Json.t
-(** One ["lint"] record: an EunoLint finding — source coordinate
-    (file/line/col), the rule-id, the message, and [suppressed]/[reason]
-    when a reasoned allow-directive muted it ([bin/euno_lint --json]
-    emits both active and suppressed findings so the CI artifact is the
-    complete audit). *)
+val aggregate : Runner.aggregate Schema.kind
+(** ["aggregate"]: seed statistics plus the embedded ["result"] records. *)
 
 val snapshot_lines : ?experiment:string -> ?run:int -> Runner.result -> Json.t list
 (** One self-describing ["window"] record per sampling window (for JSONL
     export); empty when the run had no [snapshot_window]. *)
 
-val document : experiment:string -> Json.t list -> Json.t
-(** Wrap records in the top-level schema-versioned document. *)
-
-val write_file : string -> Json.t -> unit
-(** Pretty-print one document to [path]. *)
-
-val write_jsonl : string -> Json.t list -> unit
-(** One compact JSON value per line. *)
+val lint : (Eunolint.Rules.finding * string option) Schema.kind
+(** ["lint"]: an EunoLint finding and, when a reasoned allow directive
+    muted it, the reason.  The rule-id must be in
+    {!Eunolint.Lint.rule_names}; [reason] is present exactly when
+    [suppressed] is true. *)
 
 (** {1 Validation}
 
-    Field-presence/type checks over our own output, used by the CI schema
-    smoke check and the round-trip tests. *)
-
-val validate_result : Json.t -> (unit, string) result
-val validate_window : Json.t -> (unit, string) result
-val validate_aggregate : Json.t -> (unit, string) result
-
-val validate_chaos : Json.t -> (unit, string) result
-(** Contract for the ["chaos"] records {!Chaos.outcome_to_json} emits. *)
-
-val validate_recovery : Json.t -> (unit, string) result
-(** Contract for the ["recovery"] records {!Dura_run.outcome_to_json}
-    emits: one per crash cell — durability state at the crash (snapshot /
-    log positions, lost suffix), recovery work (replayed, re-run, stuck
-    ops, cycles vs. the linear bound) and the checker's findings. *)
-
-val validate_perf : Json.t -> (unit, string) result
-(** Contract for the ["perf"] probe records the bench driver emits and the
-    [euno_perf_check] regression gate consumes: [name], [strategy],
-    [capacity_model], [metric] (unit and better-direction, e.g.
-    ["ns_per_call"] lower-is-better or ["sim_ops_per_wall_sec"]
-    higher-is-better) and numeric [value].  The strategy and
-    capacity-model names must be ones the binaries accept. *)
-
-val validate_san : Json.t -> (unit, string) result
-(** Contract for the ["san"] records {!san_to_json} emits. *)
-
-val validate_check : Json.t -> (unit, string) result
-(** Contract for the ["check"] records {!check_to_json} emits. *)
-
-val validate_sweep : Json.t -> (unit, string) result
-(** Contract for the ["sweep"] records {!sweep_to_json} emits: figure cell
-    coordinates, a strategy/capacity-model pair the binaries accept, and
-    the flattened metric set. *)
-
-val validate_lint : Json.t -> (unit, string) result
-(** Contract for the ["lint"] records {!lint_to_json} emits: the rule-id
-    must be in {!Eunolint.Lint.rule_names}, and [reason] must be
-    present exactly when [suppressed] is true. *)
+    Used by the CI schema check ([euno_schema_check]) and the round-trip
+    tests. *)
 
 val validate_record : Json.t -> (unit, string) result
-(** Dispatch on the ["record"] discriminator. *)
+(** Dispatch on the ["record"] discriminator to the kind's table. *)
 
 val validate_document : Json.t -> (unit, string) result
 

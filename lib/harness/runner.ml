@@ -121,6 +121,47 @@ type result = {
 let on_result : (result -> unit) option Euno_sim.Domain_ref.t =
   Euno_sim.Domain_ref.create (fun () -> None)
 
+(* The schema-v1 fields of a run: the body of Report's "result" record,
+   and the source of the sweep and window records' per-run fields. *)
+let fields : result Schema.field list =
+  Schema.[
+    F ("tree", Str, fun r -> r.r_name);
+    strategy (fun r -> r.r_strategy);
+    capacity_model (fun r -> r.r_capacity_model);
+    F ("threads", Int, fun r -> r.r_threads);
+    F ("ops", Int, fun r -> r.r_ops);
+    F ("cycles", Int, fun r -> r.r_cycles);
+    F ("mops", Float, fun r -> r.r_mops);
+    F ("aborts_per_op", Float, fun r -> r.r_aborts_per_op);
+    F ("abort_classes", Obj (per_class Float), fun r -> r.r_abort_classes);
+    F ("commits_per_op", Float, fun r -> r.r_commits_per_op);
+    F ("wasted_pct", Float, fun r -> r.r_wasted_pct);
+    F ("fallbacks_per_op", Float, fun r -> r.r_fallbacks_per_op);
+    F ("retries_per_op", Float, fun r -> r.r_retries_per_op);
+    F ("lock_wait_pct", Float, fun r -> r.r_lock_wait_pct);
+    F ("consistency_retries_per_op", Float, fun r -> r.r_consistency_retries_per_op);
+    F ("watchdog_trips_per_op", Float, fun r -> r.r_watchdog_trips_per_op);
+    F ("starvation_backoffs_per_op", Float, fun r -> r.r_starvation_backoffs_per_op);
+    F ("convoy_events_per_op", Float, fun r -> r.r_convoy_events_per_op);
+    F ("fast_path_wins_per_op", Float, fun r -> r.r_fast_path_wins_per_op);
+    F ("middle_path_wins_per_op", Float, fun r -> r.r_middle_path_wins_per_op);
+    F ("software_path_wins_per_op", Float, fun r -> r.r_software_path_wins_per_op);
+    F ("helped_ops_per_op", Float, fun r -> r.r_helped_ops_per_op);
+    F ("instr_per_op", Float, fun r -> r.r_instr_per_op);
+    F ("lat_p50", Int, fun r -> r.r_lat_p50);
+    F ("lat_p99", Int, fun r -> r.r_lat_p99);
+    F ( "mem",
+        Obj
+          [
+            F ("preload_bytes", Int, fun r -> r.r_mem_preload_bytes);
+            F ("live_bytes", Int, fun r -> r.r_mem_live_bytes);
+            F ("reserved_peak_bytes", Int, fun r -> r.r_mem_reserved_peak_bytes);
+            F ("lock_bytes", Int, fun r -> r.r_mem_lock_bytes);
+          ],
+        Fun.id );
+    snapshots (fun r -> r.r_snapshots);
+  ]
+
 let is_power_of_two n = n land (n - 1) = 0
 
 (* Preloaded keys are a hash-scattered subset of the key space, so the

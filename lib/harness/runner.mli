@@ -102,6 +102,11 @@ type result = {
       (** sanitizer verdict; [Some] only when [setup.sanitize] was set *)
 }
 
+val fields : result Schema.field list
+(** The schema-v1 fields of a run, in record order: throughput, abort
+    classes, wasted cycles, latency percentiles, memory footprint and the
+    embedded window series ({!Report.result} is this table). *)
+
 val on_result : (result -> unit) option Euno_sim.Domain_ref.t
 (** Observer invoked with every completed result (including each seed of
     {!run_many}); the telemetry collector in {!Report} installs itself

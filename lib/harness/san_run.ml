@@ -143,11 +143,29 @@ let print oc outcomes =
   if clean outcomes then Printf.fprintf oc "san: clean\n"
   else Printf.fprintf oc "san: FINDINGS PRESENT\n"
 
-let to_records ?experiment outcomes =
-  List.mapi
-    (fun i o ->
-      Report.san_to_json ?experiment ~run:i ~tree:o.o_tree
-        ~workload:o.o_workload ~strategy:o.o_strategy
-        ~capacity_model:o.o_capacity_model ~threads:o.o_threads ~seed:o.o_seed
-        o.o_summary)
-    outcomes
+(* One record per sanitized run: the verdict of the EunoSan pass. *)
+let record =
+  Schema.(
+    kind ~record:"san"
+      [
+        F ("tree", Str, fun o -> o.o_tree);
+        F ("workload", Str, fun o -> o.o_workload);
+        strategy (fun o -> o.o_strategy);
+        capacity_model (fun o -> o.o_capacity_model);
+        F ("threads", Int, fun o -> o.o_threads);
+        F ("seed", Int, fun o -> o.o_seed);
+        F ("events", Int, fun o -> o.o_summary.Euno_san.San.events);
+        F ("findings_total", Int, fun o -> o.o_summary.total);
+        F ( "findings",
+            List
+              [
+                F ( "kind",
+                    Str,
+                    fun (f : Euno_san.San.finding) -> Euno_san.San.kind_name f.f_kind );
+                F ("subject", Str, fun f -> f.f_subject);
+                F ("tid", Int, fun f -> f.f_tid);
+                F ("clock", Int, fun f -> f.f_clock);
+                F ("detail", Str, fun f -> f.f_detail);
+              ],
+            fun o -> o.o_summary.findings );
+      ])

@@ -5,8 +5,8 @@
     more under the stock chaos campaign ({!Euno_fault.Plan.campaign},
     horizon taken from the tree's own zipf-0.8 run), each with the
     sanitizer armed and post-run invariant checks on.  A healthy repo
-    reports zero findings everywhere; [bin/euno_san] and the
-    [euno_repro san] subcommand are thin shells over this module. *)
+    reports zero findings everywhere; the [euno_repro san] subcommand
+    is a thin shell over this module. *)
 
 type outcome = {
   o_tree : string;
@@ -44,6 +44,7 @@ val clean : outcome list -> bool
 val print : out_channel -> outcome list -> unit
 (** Human-readable verdict table; findings (if any) listed underneath. *)
 
-val to_records :
-  ?experiment:string -> outcome list -> Euno_stats.Json.t list
-(** One schema-v1 ["san"] record per outcome, [run]-indexed in order. *)
+val record : outcome Schema.kind
+(** The schema-v1 ["san"] record: event count, finding total, and the
+    capped finding list (kind, subject, announcing thread, logical clock,
+    detail). *)

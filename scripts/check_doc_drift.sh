@@ -42,8 +42,6 @@ check_flags() {
 }
 
 check_flags euno_repro "$BIN/euno_repro.exe" --help=plain
-check_flags euno_san "$BIN/euno_san.exe" --help
-check_flags euno_check "$BIN/euno_check.exe" --help
 check_flags euno_schema_check "$BIN/euno_schema_check.exe" --help
 check_flags euno_perf_check "$BIN/euno_perf_check.exe" --help
 check_flags euno_lint "$BIN/euno_lint.exe" --help

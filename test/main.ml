@@ -23,4 +23,6 @@ let () =
       ("determinism", Test_determinism.suite);
       ("pool", Test_pool.suite);
       ("lint", Test_lint.suite);
+      ("records", Test_records.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -1,0 +1,47 @@
+(* Usage errors of euno_repro: a bad --threads, --keys or --ops value is
+   rejected up front with one line on stderr and exit status 2, for every
+   experiment that takes the flag, before any simulation starts. *)
+
+let euno_repro = Filename.concat ".." (Filename.concat "bin" "euno_repro.exe")
+
+(* Run euno_repro with [args]; return its exit status and stderr lines. *)
+let run args =
+  let err = Filename.temp_file "euno_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let cmd =
+        Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote euno_repro)
+          (String.concat " " (List.map Filename.quote args))
+          (Filename.quote err)
+      in
+      let code = Sys.command cmd in
+      let ic = open_in_bin err in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (code, List.filter (( <> ) "") (String.split_on_char '\n' text)))
+
+let usage_error args flag () =
+  let code, lines = run args in
+  Alcotest.(check int) "exit status" 2 code;
+  match lines with
+  | [ line ] ->
+      if not (Util.contains line flag) then
+        Alcotest.failf "message does not name %s: %s" flag line
+  | _ ->
+      Alcotest.failf "expected one stderr line, got %d:\n%s" (List.length lines)
+        (String.concat "\n" lines)
+
+let case name args flag = Alcotest.test_case name `Quick (usage_error args flag)
+
+let suite =
+  [
+    case "chaos --threads 0" [ "chaos"; "--quick"; "--threads"; "0" ] "--threads";
+    case "fig1 --threads 0" [ "fig1"; "--quick"; "--threads"; "0" ] "--threads";
+    case "fig1 --keys 63" [ "fig1"; "--quick"; "--keys"; "63" ] "--keys";
+    case "crash --keys 0" [ "crash"; "--quick"; "--keys"; "0" ] "--keys";
+    case "fig1 --ops=-5" [ "fig1"; "--quick"; "--ops=-5" ] "--ops";
+    case "fig1 --ops 0" [ "fig1"; "--quick"; "--ops"; "0" ] "--ops";
+    case "fig1 --capacity all" [ "fig1"; "--quick"; "--capacity"; "all" ] "--capacity";
+    case "check --repro garbage" [ "check"; "--repro"; "garbage" ] "--repro";
+  ]

@@ -176,7 +176,7 @@ let test_pipeline_in_place_restore () =
 
 let test_recovery_record_schema () =
   let c = Dura_run.run_campaign Kv.Htm_bptree tiny_config in
-  let json = Dura_run.cell_to_json ~experiment:"crash" c in
+  let json = Euno_harness.Schema.encode ~experiment:"crash" Dura_run.record c in
   (match Report.validate_record json with
   | Ok () -> ()
   | Error e -> Alcotest.failf "recovery record invalid: %s" e);

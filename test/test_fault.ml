@@ -414,7 +414,7 @@ let test_chaos_record_schema () =
     Chaos.run_campaign (Kv.Euno Eunomia.Config.full)
       { tiny_config with Chaos.ops_per_thread = 80 }
   in
-  let json = Chaos.outcome_to_json ~experiment:"chaos" out in
+  let json = Euno_harness.Schema.encode ~experiment:"chaos" Chaos.record out in
   (match Report.validate_record json with
   | Ok () -> ()
   | Error e -> Alcotest.failf "chaos record invalid: %s" e);

@@ -241,6 +241,7 @@ let test_partitioned_scans_share_nothing () =
 (* ---------- telemetry: snapshots, JSON records, collector ---------- *)
 
 module Report = Euno_harness.Report
+module Schema = Euno_harness.Schema
 module Json = Euno_stats.Json
 
 let run_with_snapshots () =
@@ -250,21 +251,21 @@ let run_with_snapshots () =
 
 let test_snapshots_cover_run () =
   let r = run_with_snapshots () in
-  let windows = Report.windows_of_snapshots r.Runner.r_snapshots in
+  let windows = Schema.windows_of_snapshots r.Runner.r_snapshots in
   check_bool "several windows" true (List.length windows > 1);
   (* per-window deltas are non-negative and sum back to the run totals *)
   List.iter
     (fun w ->
-      check_bool "ops >= 0" true (w.Report.w_ops >= 0);
-      check_bool "commits >= 0" true (w.Report.w_commits >= 0);
+      check_bool "ops >= 0" true (w.Schema.w_ops >= 0);
+      check_bool "commits >= 0" true (w.Schema.w_commits >= 0);
       check_bool "aborts >= 0" true
-        (Array.for_all (fun v -> v >= 0) w.Report.w_aborts);
-      check_bool "window ordered" true (w.Report.w_start < w.Report.w_end))
+        (Array.for_all (fun v -> v >= 0) w.Schema.w_aborts);
+      check_bool "window ordered" true (w.Schema.w_start < w.Schema.w_end))
     windows;
   check_int "window ops sum to total" r.Runner.r_ops
-    (List.fold_left (fun acc w -> acc + w.Report.w_ops) 0 windows);
+    (List.fold_left (fun acc w -> acc + w.Schema.w_ops) 0 windows);
   check_int "windows tile the run" r.Runner.r_cycles
-    (List.fold_left (fun acc w -> max acc w.Report.w_end) 0 windows)
+    (List.fold_left (fun acc w -> max acc w.Schema.w_end) 0 windows)
 
 let test_no_snapshots_by_default () =
   let r = Runner.run Kv.Htm_bptree (small_workload ()) (small_setup ()) in
@@ -273,7 +274,7 @@ let test_no_snapshots_by_default () =
 let test_result_json_valid_and_parses () =
   let r = run_with_snapshots () in
   let doc =
-    Report.document ~experiment:"test"
+    Schema.document ~experiment:"test"
       [ Report.result_to_json ~experiment:"test" r ]
   in
   (* serialized form parses back and passes schema validation *)
@@ -311,7 +312,7 @@ let test_aggregate_json_valid () =
   let a =
     Runner.run_many ~seeds:2 Kv.Htm_bptree (small_workload ()) (small_setup ())
   in
-  match Report.validate_aggregate (Report.aggregate_to_json a) with
+  match Report.validate_record (Schema.encode Report.aggregate a) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "schema: %s" e
 
@@ -331,7 +332,7 @@ let test_validation_rejects_wrong_version () =
   let bad =
     Json.Obj
       [
-        ("schema_version", Json.Int (Report.schema_version + 1));
+        ("schema_version", Json.Int (Schema.schema_version + 1));
         ("record", Json.Str "window");
       ]
   in

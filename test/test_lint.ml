@@ -9,6 +9,7 @@ module Lint = Eunolint.Lint
 module Rules = Eunolint.Rules
 module Suppress = Eunolint.Suppress
 module Report = Euno_harness.Report
+module Schema = Euno_harness.Schema
 module Json = Euno_stats.Json
 
 let fixture_files =
@@ -194,10 +195,7 @@ let test_pragma_scoping () =
 (* ---------- output determinism ---------- *)
 
 let render (o : Lint.outcome) =
-  let record (f : Rules.finding) reason =
-    Report.lint_to_json ~file:f.Rules.file ~line:f.line ~col:f.col
-      ~rule:f.rule ~msg:f.msg ?reason ()
-  in
+  let record f reason = Schema.encode Report.lint (f, reason) in
   let records =
     List.map (fun f -> record f None) o.Lint.findings
     @ List.map
@@ -205,7 +203,7 @@ let render (o : Lint.outcome) =
           record s.Lint.s_finding (Some s.s_reason))
         o.Lint.suppressed
   in
-  Json.to_string ~pretty:true (Report.document ~experiment:"lint" records)
+  Json.to_string ~pretty:true (Schema.document ~experiment:"lint" records)
 
 let test_byte_identical_runs () =
   let a = render (run_corpus ()) in
@@ -233,23 +231,17 @@ let test_lint_records_validate () =
     | Error e -> Alcotest.failf "record rejected: %s" e
   in
   List.iter
-    (fun (f : Rules.finding) ->
-      check_record
-        (Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-           ~msg:f.msg ()))
+    (fun f -> check_record (Schema.encode Report.lint (f, None)))
     o.Lint.findings;
   List.iter
     (fun (s : Lint.suppressed) ->
-      let f = s.Lint.s_finding in
-      check_record
-        (Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-           ~msg:f.msg ~reason:s.s_reason ()))
+      check_record (Schema.encode Report.lint (s.Lint.s_finding, Some s.s_reason)))
     o.Lint.suppressed
 
 let test_lint_schema_rejects () =
   let bad_rule =
-    Report.lint_to_json ~file:"x.ml" ~line:1 ~col:0 ~rule:"no-such-rule"
-      ~msg:"m" ()
+    Schema.encode Report.lint
+      ({ Rules.file = "x.ml"; line = 1; col = 0; rule = "no-such-rule"; msg = "m" }, None)
   in
   (match Report.validate_record bad_rule with
   | Ok () -> Alcotest.fail "unknown rule-id must be rejected"
@@ -258,7 +250,7 @@ let test_lint_schema_rejects () =
   let contradictory =
     Json.Obj
       [
-        ("schema_version", Json.Int Report.schema_version);
+        ("schema_version", Json.Int Schema.schema_version);
         ("record", Json.Str "lint");
         ("file", Json.Str "x.ml");
         ("line", Json.Int 1);
@@ -272,6 +264,22 @@ let test_lint_schema_rejects () =
   match Report.validate_record contradictory with
   | Ok () -> Alcotest.fail "reason without suppressed=true must be rejected"
   | Error _ -> ()
+
+(* schema-drift reads the dispatch of the real validate_record: linting
+   lib/harness/report.ml next to a file that defines an undispatched
+   record kind yields exactly that one finding. *)
+let test_schema_drift_real_dispatch () =
+  let report = String.concat Filename.dir_sep [ ".."; "lib"; "harness"; "report.ml" ] in
+  let zap = ("synthetic/zap.ml", "let zap = Schema.kind ~record:\"zap\" []\n") in
+  match Lint.run_files [ (report, read_file report); zap ] with
+  | Error e -> Alcotest.failf "parse: %s" e
+  | Ok o ->
+      Alcotest.(check (list string))
+        "one schema-drift finding, at the zap kind" [ "synthetic/zap.ml" ]
+        (List.filter_map
+           (fun (f : Rules.finding) ->
+             if f.rule = "schema-drift" then Some f.file else None)
+           o.Lint.findings)
 
 (* ---------- path expansion ---------- *)
 
@@ -313,6 +321,8 @@ let suite =
       test_lint_records_validate;
     Alcotest.test_case "lint schema rejections" `Quick
       test_lint_schema_rejects;
+    Alcotest.test_case "schema-drift on the real dispatch" `Quick
+      test_schema_drift_real_dispatch;
     Alcotest.test_case "expansion skips fixtures" `Quick
       test_expand_skips_fixture_dir;
   ]

@@ -10,6 +10,7 @@ module Pool = Euno_harness.Pool
 module Kv = Euno_harness.Kv
 module Runner = Euno_harness.Runner
 module Report = Euno_harness.Report
+module Schema = Euno_harness.Schema
 module San_run = Euno_harness.San_run
 module Check_run = Euno_harness.Check_run
 module Chaos = Euno_harness.Chaos
@@ -240,14 +241,14 @@ let test_collector_replay_order () =
 let test_diff_san () =
   differential "san records" (fun ~domains ->
       bytes_of
-        (San_run.to_records ~experiment:"san"
+        (Schema.encode_runs ~experiment:"san" San_run.record
            (San_run.run ~quick:true ~seed:7 ~strategies:[ Htm.Elision ]
               ~capacities:[ Cost.nominal ] ~domains ())))
 
 let test_diff_check () =
   differential "check records" (fun ~domains ->
       bytes_of
-        (Check_run.to_records ~experiment:"check"
+        (Schema.encode_runs ~experiment:"check" Check_run.record
            (Check_run.sweep ~quick:true ~seed:7 ~strategies:[ Htm.Elision ]
               ~domains ())))
 
@@ -255,14 +256,14 @@ let test_diff_chaos () =
   differential "chaos records" (fun ~domains ->
       bytes_of
         (List.map
-           (Chaos.outcome_to_json ~experiment:"chaos")
+           (Schema.encode ~experiment:"chaos" Chaos.record)
            (Chaos.run_all ~domains Chaos.quick_config)))
 
 let test_diff_crash () =
   differential "crash records" (fun ~domains ->
       bytes_of
         (List.map
-           (Dura_run.cell_to_json ~experiment:"crash")
+           (Schema.encode ~experiment:"crash" Dura_run.record)
            (Dura_run.run_all ~domains Dura_run.quick_config)))
 
 let tiny_scale =

@@ -385,7 +385,7 @@ let test_park_escape_fixed_clean () =
 
 (* Every tree, sanitized end to end at smoke scale: zero findings.  The
    full-scale equivalent (plus the chaos campaign) runs in CI via
-   bin/euno_san. *)
+   euno_repro san. *)
 let test_trees_clean_under_sanitizer () =
   let workload =
     {
@@ -421,14 +421,22 @@ let test_san_record_validates () =
   feed c 0 1 (Sev.Note (Sev.Release (Sev.Ticket, 9)));
   let s = San.finish c in
   let j =
-    Report.san_to_json ~experiment:"san" ~run:0 ~tree:"Euno-B+Tree"
-      ~workload:"zipf-0.80" ~strategy:"elision" ~capacity_model:"nominal"
-      ~threads:4 ~seed:42 s
+    Euno_harness.(
+      Schema.encode ~experiment:"san" ~run:0 San_run.record
+        {
+          San_run.o_tree = "Euno-B+Tree";
+          o_workload = "zipf-0.80";
+          o_strategy = "elision";
+          o_capacity_model = "nominal";
+          o_threads = 4;
+          o_seed = 42;
+          o_summary = s;
+        })
   in
   (match Report.validate_record j with
   | Ok () -> ()
   | Error e -> Alcotest.failf "san record rejected: %s" e);
-  match Report.validate_document (Report.document ~experiment:"san" [ j ]) with
+  match Report.validate_document (Euno_harness.Schema.document ~experiment:"san" [ j ]) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "san document rejected: %s" e
 

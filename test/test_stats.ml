@@ -6,14 +6,7 @@ module Table = Euno_stats.Table
 module Summary = Euno_stats.Summary
 module Json = Euno_stats.Json
 
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i =
-    if i + n > h then false
-    else if String.sub haystack i n = needle then true
-    else go (i + 1)
-  in
-  go 0
+let contains = Util.contains
 
 let test_table_alignment () =
   let t = Table.create ~title:"T" ~headers:[ "name"; "value" ] in

@@ -35,3 +35,12 @@ let scratch w ~words =
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i =
+    if i + n > h then false
+    else if String.sub haystack i n = needle then true
+    else go (i + 1)
+  in
+  go 0
