@@ -58,12 +58,28 @@ let tree_op_bench name ~build ~op =
 let micro_tests () =
   let simple name f = Test.make ~name (Staged.stage f) in
   [
-    (* raw simulator effect dispatch *)
+    (* raw simulator effect dispatch: one thread that is always the
+       scheduler's minimum, so every call is interpreted in place *)
     (let w = fresh_world () in
      let addr = Alloc.alloc w.alloc ~kind:Linemap.Scratch ~words:8 in
      simple "sim: 100 read/write effects" (fun () ->
          on_machine w (fun () ->
              for i = 0 to 49 do
+               Api.write addr i;
+               ignore (Api.read addr)
+             done)));
+    (* the same 100 effects split over two threads at unit cost: each
+       effect leaves its thread behind the other, so every call yields
+       and the threads alternate through the scheduler *)
+    (let w = fresh_world () in
+     let addr = Alloc.alloc w.alloc ~kind:Linemap.Scratch ~words:8 in
+     simple "sim: 100 read/write effects, 2 threads" (fun () ->
+         let m =
+           Machine.create ~threads:2 ~seed:1 ~cost:Euno_sim.Cost.unit_costs
+             ~mem:w.mem ~map:w.map ~alloc:w.alloc
+         in
+         Machine.run m (fun _ ->
+             for i = 0 to 24 do
                Api.write addr i;
                ignore (Api.read addr)
              done)));
@@ -177,10 +193,15 @@ let perf_trees =
 
 let perf_thetas = [ 0.2; 0.8; 0.99 ]
 
-(* Micro timings that double as perf probes: the two engine hot paths the
-   fast-path work targets. *)
+(* Micro timings that double as perf probes: the engine hot paths the
+   fast-path work targets, with the effect round trip measured on both
+   the in-place and the yielding path. *)
 let perf_micro_names =
-  [ "sim: 100 read/write effects"; "htm: one-write elided txn x100" ]
+  [
+    "sim: 100 read/write effects";
+    "sim: 100 read/write effects, 2 threads";
+    "htm: one-write elided txn x100";
+  ]
 
 (* One probe: (name, strategy name, capacity-model name, ops/wall-sec). *)
 let perf_probe ~tname ~kind ~theta ~policy ~capacity ~name_fmt =
