@@ -17,7 +17,7 @@ let () =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in
-  (* Tree code performs effects, so it must run on a machine.  run_single
+  (* Tree code issues Api calls, so it must run on a machine.  run_single
      is the one-thread convenience wrapper. *)
   Machine.run_single ~mem ~map ~alloc (fun () ->
       let tree = Euno.create ~cfg:Config.default ~map () in

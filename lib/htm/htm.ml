@@ -317,7 +317,7 @@ exception Stuck_fallback of { lock : int; waited : int }
 (* One transactional attempt of [f].  Returns the abort code on failure.
 
    [Api.xbegin] must be evaluated *inside* the match scrutinee: the machine
-   starts the transaction eagerly when the effect is performed, so the
+   starts the transaction eagerly when the call is interpreted, so the
    thread can already be doomed (e.g. by an injected preemption) while
    parked at the xbegin call site — the abort is then delivered exactly
    there, and a scrutinee that starts after xbegin would let it escape. *)

@@ -20,9 +20,9 @@ type lock_kind =
   | Slot (* a CCM per-slot advisory lock *)
   | Version (* a Masstree embedded node-version lock *)
 
-(* Announcements performed by instrumented synchronization code.  These
-   travel through the {!Eff.San_note} effect so the machine can stamp
-   them with the announcing thread's tid and clock. *)
+(* Announcements made by instrumented synchronization code.  These
+   travel through {!Api.san_note} so the machine can stamp them with the
+   announcing thread's tid and clock. *)
 type note =
   | Acquire of lock_kind * int (* kind, lock id; after the lock is won *)
   | Release of lock_kind * int (* kind, lock id; after the lock is free *)
@@ -66,7 +66,7 @@ and body =
 (* True only inside a sanitizer session.  Host-side flag shared by every
    machine of the arming domain (including preload machines, whose hook
    stays uninstalled): announcement sites in simulated code test it
-   before performing the San_note effect, so ordinary runs never even
+   before calling Api.san_note, so ordinary runs never even
    allocate a note.  Domain-local so a sanitizer cell running on one
    pool worker cannot arm the instrumentation of a plain cell running
    concurrently on another. *)

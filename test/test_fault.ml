@@ -97,8 +97,8 @@ let test_preempt_stalls_thread () =
   check_bool "victim descheduled past the window" true (clocks.(1) >= 5_000);
   check_bool "other thread unaffected" true (clocks.(0) < 5_000)
 
-(* Regression: the machine starts a transaction eagerly when the Xbegin
-   effect is performed, so a preemption can doom a thread while it is still
+(* Regression: the machine starts a transaction eagerly when Api.xbegin
+   is interpreted, so a preemption can doom a thread while it is still
    parked at the xbegin call site.  The abort is then delivered exactly
    there — Htm.attempt must catch it (its match scrutinee starts at the
    xbegin) instead of letting an uncaught Txn_abort kill the thread. *)
