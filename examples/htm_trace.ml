@@ -1,5 +1,5 @@
 (* A guided tour of the simulated RTM machine itself: two threads collide
-   on one cache line while a tracer records every transaction event, then
+   on one cache line while a trace ring records every transaction event, then
    the run replays with a different seed to show determinism.
 
      dune exec examples/htm_trace.exe
@@ -26,7 +26,7 @@ let run_traced seed =
   let m =
     Machine.create ~threads:2 ~seed ~cost:Cost.default ~mem ~map ~alloc
   in
-  Machine.set_tracer m (Some (Trace.push ring));
+  Machine.set_observer m (Some (Trace.push ring));
   Machine.run m (fun tid ->
       for i = 1 to 3 do
         Api.op_key ((tid * 10) + i);

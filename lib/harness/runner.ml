@@ -241,7 +241,7 @@ let run kind workload setup =
   | Some window -> Machine.set_sampling m ~window
   | None -> ());
   (match san with
-  | Some checker -> Machine.set_san_hook m (Some (Euno_san.San.hook checker))
+  | Some checker -> Machine.set_observer m (Some (Euno_san.San.hook checker))
   | None -> ());
   Machine.run m (fun tid ->
       let n =

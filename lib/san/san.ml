@@ -447,108 +447,120 @@ let clear_range t addr words =
     Hashtbl.remove t.sync_words a
   done
 
+(* The trace-only kinds carry nothing the checkers use and return before
+   any bookkeeping, so [events] counts the events the checkers saw and a
+   san record does not depend on how many conflicts or injected faults
+   the run had. *)
 let hook t (ev : Sev.event) =
-  t.events <- t.events + 1;
-  t.last_clock <- ev.Sev.clock;
-  let tid = ev.Sev.tid and clock = ev.Sev.clock in
-  ensure_active t tid;
-  let ts = t.threads.(tid) in
   match ev.Sev.body with
-  | Sev.Plain_read { addr; kind } -> plain_read t tid clock addr kind
-  | Sev.Plain_write { addr; kind } -> plain_write t tid clock addr kind
-  | Sev.Txn_line_read line -> txn_line t tid ~wrote:false ts.rlines line
-  | Sev.Txn_line_write line -> txn_line t tid ~wrote:true ts.wlines line
-  | Sev.Txn_begin ->
-      if ts.in_txn then
-        report t ~kind:Txn_unbalanced
-          ~subject:(Printf.sprintf "tid %d" tid)
-          ~tid ~clock
-          ~detail:(Printf.sprintf "t%d began a transaction inside one" tid);
-      ts.in_txn <- true
-  | Sev.Txn_commit ->
-      if not ts.in_txn then
-        report t ~kind:Txn_unbalanced
-          ~subject:(Printf.sprintf "tid %d" tid)
-          ~tid ~clock
-          ~detail:(Printf.sprintf "t%d committed with no open transaction" tid);
-      Hashtbl.iter
-        (fun line () ->
-          let lvc =
-            match Hashtbl.find_opt t.lines line with
-            | Some lvc -> lvc
-            | None ->
-                let lvc = vc_fresh () in
-                Hashtbl.replace t.lines line lvc;
-                lvc
-          in
-          vc_join lvc ts.vc)
-        ts.wlines;
-      txn_clear t tid;
-      ts.vc.(tid) <- ts.vc.(tid) + 1
-  | Sev.Txn_aborted ->
-      txn_clear t tid;
-      (* The abort unwinds to the enclosing attempt, abandoning any
-         optimistic section opened inside the transaction. *)
-      ts.opt_depth <- 0;
-      if ts.attempt_depth = 0 then
-        report t ~kind:Escaped_abort
-          ~subject:(Printf.sprintf "tid %d" tid)
-          ~tid ~clock
-          ~detail:
-            (Printf.sprintf "t%d received an abort outside Htm.attempt" tid)
-  | Sev.Unsafe_read addr -> unsafe_access t tid clock addr "read" ~is_write:false
-  | Sev.Unsafe_write addr -> unsafe_access t tid clock addr "write" ~is_write:true
-  | Sev.Alloc_done { addr; words } -> clear_range t addr words
-  | Sev.Free_done { addr; words } -> clear_range t addr words
-  | Sev.Op_exit ->
-      leak_check t tid clock "operation exit" ts;
-      ts.opt_depth <- 0
-  | Sev.Thread_exit { failed = _; aborted } ->
-      if aborted then
-        report t ~kind:Escaped_abort
-          ~subject:(Printf.sprintf "tid %d" tid)
-          ~tid ~clock
-          ~detail:
-            (Printf.sprintf "t%d died with an uncaught Txn_abort" tid);
-      if ts.in_txn then
-        report t ~kind:Txn_unbalanced
-          ~subject:(Printf.sprintf "tid %d" tid)
-          ~tid ~clock
-          ~detail:
-            (Printf.sprintf "t%d exited with a transaction still open" tid);
-      leak_check t tid clock "thread exit" ts;
-      txn_clear t tid;
-      ts.held <- [];
-      ts.opt_depth <- 0;
-      ts.attempt_depth <- 0;
-      vc_join t.finished ts.vc;
-      ts.active <- false
-  | Sev.Note note -> (
-      match note with
-      | Sev.Acquire (k, id) -> acquire t tid (k, id)
-      | Sev.Release (k, id) -> release t tid clock (k, id)
-      | Sev.Publish (k, id) -> publish t tid (k, id)
-      | Sev.Barrier_arrive id ->
-          let bvc =
-            match Hashtbl.find_opt t.barriers id with
-            | Some bvc -> bvc
-            | None ->
-                let bvc = vc_fresh () in
-                Hashtbl.replace t.barriers id bvc;
-                bvc
-          in
-          vc_join bvc ts.vc;
+  | Sev.Conflict _ | Sev.Injected _ -> ()
+  | body -> (
+      t.events <- t.events + 1;
+      t.last_clock <- ev.Sev.clock;
+      let tid = ev.Sev.tid and clock = ev.Sev.clock in
+      ensure_active t tid;
+      let ts = t.threads.(tid) in
+      match body with
+      | Sev.Plain_read { addr; kind } -> plain_read t tid clock addr kind
+      | Sev.Plain_write { addr; kind } -> plain_write t tid clock addr kind
+      | Sev.Txn_line_read line -> txn_line t tid ~wrote:false ts.rlines line
+      | Sev.Txn_line_write line -> txn_line t tid ~wrote:true ts.wlines line
+      | Sev.Txn_begin ->
+          if ts.in_txn then
+            report t ~kind:Txn_unbalanced
+              ~subject:(Printf.sprintf "tid %d" tid)
+              ~tid ~clock
+              ~detail:(Printf.sprintf "t%d began a transaction inside one" tid);
+          ts.in_txn <- true
+      | Sev.Txn_commit _ ->
+          if not ts.in_txn then
+            report t ~kind:Txn_unbalanced
+              ~subject:(Printf.sprintf "tid %d" tid)
+              ~tid ~clock
+              ~detail:
+                (Printf.sprintf "t%d committed with no open transaction" tid);
+          Hashtbl.iter
+            (fun line () ->
+              let lvc =
+                match Hashtbl.find_opt t.lines line with
+                | Some lvc -> lvc
+                | None ->
+                    let lvc = vc_fresh () in
+                    Hashtbl.replace t.lines line lvc;
+                    lvc
+              in
+              vc_join lvc ts.vc)
+            ts.wlines;
+          txn_clear t tid;
           ts.vc.(tid) <- ts.vc.(tid) + 1
-      | Sev.Barrier_depart id -> (
-          match Hashtbl.find_opt t.barriers id with
-          | Some bvc -> vc_join ts.vc bvc
-          | None -> ())
-      | Sev.Attempt_enter -> ts.attempt_depth <- ts.attempt_depth + 1
-      | Sev.Attempt_exit ->
-          if ts.attempt_depth > 0 then ts.attempt_depth <- ts.attempt_depth - 1
-      | Sev.Opt_enter -> ts.opt_depth <- ts.opt_depth + 1
-      | Sev.Opt_exit ->
-          if ts.opt_depth > 0 then ts.opt_depth <- ts.opt_depth - 1)
+      | Sev.Txn_aborted _ ->
+          txn_clear t tid;
+          (* The abort unwinds to the enclosing attempt, abandoning any
+             optimistic section opened inside the transaction. *)
+          ts.opt_depth <- 0;
+          if ts.attempt_depth = 0 then
+            report t ~kind:Escaped_abort
+              ~subject:(Printf.sprintf "tid %d" tid)
+              ~tid ~clock
+              ~detail:
+                (Printf.sprintf "t%d received an abort outside Htm.attempt" tid)
+      | Sev.Unsafe_read addr ->
+          unsafe_access t tid clock addr "read" ~is_write:false
+      | Sev.Unsafe_write addr ->
+          unsafe_access t tid clock addr "write" ~is_write:true
+      | Sev.Alloc_done { addr; words } -> clear_range t addr words
+      | Sev.Free_done { addr; words } -> clear_range t addr words
+      | Sev.Op_exit _ ->
+          leak_check t tid clock "operation exit" ts;
+          ts.opt_depth <- 0
+      | Sev.Thread_exit { failed = _; aborted } ->
+          if aborted then
+            report t ~kind:Escaped_abort
+              ~subject:(Printf.sprintf "tid %d" tid)
+              ~tid ~clock
+              ~detail:
+                (Printf.sprintf "t%d died with an uncaught Txn_abort" tid);
+          if ts.in_txn then
+            report t ~kind:Txn_unbalanced
+              ~subject:(Printf.sprintf "tid %d" tid)
+              ~tid ~clock
+              ~detail:
+                (Printf.sprintf "t%d exited with a transaction still open" tid);
+          leak_check t tid clock "thread exit" ts;
+          txn_clear t tid;
+          ts.held <- [];
+          ts.opt_depth <- 0;
+          ts.attempt_depth <- 0;
+          vc_join t.finished ts.vc;
+          ts.active <- false
+      | Sev.Note note -> (
+          match note with
+          | Sev.Acquire (k, id) -> acquire t tid (k, id)
+          | Sev.Release (k, id) -> release t tid clock (k, id)
+          | Sev.Publish (k, id) -> publish t tid (k, id)
+          | Sev.Barrier_arrive id ->
+              let bvc =
+                match Hashtbl.find_opt t.barriers id with
+                | Some bvc -> bvc
+                | None ->
+                    let bvc = vc_fresh () in
+                    Hashtbl.replace t.barriers id bvc;
+                    bvc
+              in
+              vc_join bvc ts.vc;
+              ts.vc.(tid) <- ts.vc.(tid) + 1
+          | Sev.Barrier_depart id -> (
+              match Hashtbl.find_opt t.barriers id with
+              | Some bvc -> vc_join ts.vc bvc
+              | None -> ())
+          | Sev.Attempt_enter -> ts.attempt_depth <- ts.attempt_depth + 1
+          | Sev.Attempt_exit ->
+              if ts.attempt_depth > 0 then
+                ts.attempt_depth <- ts.attempt_depth - 1
+          | Sev.Opt_enter -> ts.opt_depth <- ts.opt_depth + 1
+          | Sev.Opt_exit ->
+              if ts.opt_depth > 0 then ts.opt_depth <- ts.opt_depth - 1)
+      | Sev.Conflict _ | Sev.Injected _ -> assert false)
 
 (* ---------- lock-order cycles ---------- *)
 

@@ -2,7 +2,7 @@
     over the simulated machine's semantic-event stream.
 
     A checker consumes {!Euno_sim.Sev.event}s (install {!hook} with
-    {!Euno_sim.Machine.set_san_hook}) and runs four analyses:
+    {!Euno_sim.Machine.set_observer}) and runs four analyses:
 
     - a FastTrack-style vector-clock data-race detector over plain
       (non-transactional) accesses, with happens-before edges from lock
@@ -60,7 +60,9 @@ val create : ?max_findings:int -> unit -> t
     deduplicated findings past the cap are still counted in [total]. *)
 
 val hook : t -> Euno_sim.Sev.event -> unit
-(** Feed one event; pass [hook t] to {!Euno_sim.Machine.set_san_hook}. *)
+(** Feed one event; pass [hook t] to {!Euno_sim.Machine.set_observer}.
+    The trace-only kinds ([Conflict], [Injected]) are ignored and not
+    counted in {!summary}[.events]. *)
 
 val finish : t -> summary
 (** Run end-of-stream analyses (lock-order cycles) and summarize.  The

@@ -20,11 +20,16 @@
    bits plus a per-thread log, buffered stores sit in an epoch-versioned
    table cleared O(1) on abort, the scheduler's pick-min is a lazy binary
    heap (Sched), the fault-injection hooks are skipped entirely while no
-   injector is installed, and Api calls perform no effect while their
-   thread stays the minimum (see "interpreting Api calls" below).  None
-   of this changes simulated behavior: the determinism suite replays
-   recorded seed-42 traces byte for byte, also with a yield forced after
-   every call. *)
+   injector is installed, no Sev event is built while no observer is
+   installed, and Api calls perform no effect while their thread stays
+   the minimum (see "interpreting Api calls" below).  None of this
+   changes simulated behavior: the determinism suite replays recorded
+   seed-42 traces byte for byte, also with a yield forced after every
+   call.
+
+   Observation (see docs/SIMULATOR.md "Observability"): Sev.event is the
+   machine's one event stream and [set_observer] its one passive hook;
+   the trace ring and the sanitizer are consumers of it. *)
 
 module Mem = Euno_mem.Memory
 module Lmap = Euno_mem.Linemap
@@ -201,15 +206,14 @@ type t = {
   mutable current : int;
   mutable owner_socket : int array; (* line -> socket of last writer, -1 *)
   cache_mask : int;
-  mutable tracer : (Trace.event -> unit) option;
   mutable inject : injector;
   mutable inj_active : bool;
     (* false while [inject == no_injector]: every hook is inert, so the
        access path skips the closure calls entirely *)
-  mutable san : Sev.event -> unit;
-  mutable san_active : bool;
-    (* same inert-branch pattern as the injector: while no sanitizer hook
-       is installed the access path tests one bool and builds no event *)
+  mutable observer : Sev.event -> unit;
+  mutable obs_active : bool;
+    (* same inert-branch pattern as the injector: while no observer is
+       installed every emission site tests one bool and builds no event *)
   mutable explore : tid:int -> point:Explore.point -> int;
   mutable exp_active : bool;
     (* inert-branch pattern again: with no exploration policy installed,
@@ -284,11 +288,10 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     current = 0;
     owner_socket = Array.make 64 (-1);
     cache_mask = cache_size - 1;
-    tracer = None;
     inject = no_injector;
     inj_active = false;
-    san = ignore;
-    san_active = false;
+    observer = ignore;
+    obs_active = false;
     explore = (fun ~tid:_ ~point:_ -> 0);
     exp_active = false;
     exp_point = Explore.Step;
@@ -297,8 +300,6 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     samples = [];
     crash_at = max_int;
   }
-
-let set_tracer m tracer = m.tracer <- tracer
 
 exception Crashed of { at_cycle : int }
 
@@ -310,14 +311,14 @@ let set_injector m inj =
   m.inject <- inj;
   m.inj_active <- inj != no_injector
 
-let set_san_hook m hook =
+let set_observer m hook =
   match hook with
   | Some f ->
-      m.san <- f;
-      m.san_active <- true
+      m.observer <- f;
+      m.obs_active <- true
   | None ->
-      m.san <- ignore;
-      m.san_active <- false
+      m.observer <- ignore;
+      m.obs_active <- false
 
 let set_explorer m hook =
   match hook with
@@ -328,18 +329,17 @@ let set_explorer m hook =
       m.explore <- (fun ~tid:_ ~point:_ -> 0);
       m.exp_active <- false
 
-(* Emit a sanitizer event for thread [t].  Callers must test
-   [m.san_active] first so the disabled path allocates nothing. *)
-let[@inline never] san m (t : tstate) body =
-  m.san { Sev.tid = t.tid; clock = t.clock; body }
+(* Emit an event for thread [t].  Callers must test [m.obs_active] first
+   and build the body inside that branch, so an unobserved run allocates
+   nothing. *)
+let[@inline never] observe m (t : tstate) body =
+  m.observer { Sev.tid = t.tid; clock = t.clock; body }
 
 let set_sampling m ~window =
   if window < 1 then invalid_arg "Machine.set_sampling: window < 1";
   m.sample_window <- window;
   m.next_sample <- window;
   m.samples <- []
-
-let trace m e = match m.tracer with Some f -> f e | None -> ()
 
 let n_threads m = Array.length m.threads
 let memory m = m.mem
@@ -448,8 +448,7 @@ let abort_txn m (v : tstate) (code : Abort.code) =
       v.cnt.wasted_cycles <-
         v.cnt.wasted_cycles + (v.clock - Txn.start_clock txn) + m.c_abort;
       charge m v m.c_abort;
-      trace m (Trace.Aborted { tid = v.tid; clock = v.clock; code });
-      if m.san_active then san m v Sev.Txn_aborted;
+      if m.obs_active then observe m v (Sev.Txn_aborted code);
       v.doom <- Some code
 
 (* Simulated process death: every hardware thread dies at this instant.
@@ -492,9 +491,8 @@ let doom_holder m ~attacker ~victim_tid line =
   in
   let ki = Al.kind_index kind in
   v.cnt.conflict_kinds.(ki) <- v.cnt.conflict_kinds.(ki) + 1;
-  trace m
-    (Trace.Conflict
-       { attacker; victim = victim_tid; line; kind; clock = a.clock });
+  if m.obs_active then
+    observe m a (Sev.Conflict { victim = victim_tid; line; kind });
   abort_txn m v (Abort.Conflict cls)
 
 (* The table is granule-indexed; the attacker's concrete [line] is kept for
@@ -537,14 +535,14 @@ let process_read m (t : tstate) addr =
   match t.txn with
   | None ->
       doom_writer_of m ~attacker:t.tid line;
-      if m.san_active then
-        san m t
+      if m.obs_active then
+        observe m t
           (Sev.Plain_read { addr; kind = Lmap.kind_of_line m.map line });
       Mem.get m.mem addr
   | Some txn ->
       if txn_hazards m t txn then 0
       else begin
-        if m.san_active then san m t (Sev.Txn_line_read line);
+        if m.obs_active then observe m t (Sev.Txn_line_read line);
         match Txn.buffered_value txn addr with
         | Some v -> v
         | None ->
@@ -572,15 +570,15 @@ let process_write m (t : tstate) addr value =
   | None ->
       doom_writer_of m ~attacker:t.tid line;
       doom_readers_of m ~attacker:t.tid line;
-      if m.san_active then
-        san m t
+      if m.obs_active then
+        observe m t
           (Sev.Plain_write { addr; kind = Lmap.kind_of_line m.map line });
       Mem.set m.mem addr value;
       publish_write m ~writer:t.tid line
   | Some txn ->
       if txn_hazards m t txn then ()
       else begin
-        if m.san_active then san m t (Sev.Txn_line_write line);
+        if m.obs_active then observe m t (Sev.Txn_line_write line);
         doom_writer_of m ~attacker:t.tid line;
         doom_readers_of m ~attacker:t.tid line;
         let g = granule m line in
@@ -632,9 +630,9 @@ let process_cas m (t : tstate) addr expected desired =
   | Some txn ->
       if txn_hazards m t txn then ()
       else begin
-        (if m.san_active then begin
-           san m t (Sev.Txn_line_read line);
-           if success then san m t (Sev.Txn_line_write line)
+        (if m.obs_active then begin
+           observe m t (Sev.Txn_line_read line);
+           if success then observe m t (Sev.Txn_line_write line)
          end);
         doom_writer_of m ~attacker:t.tid line;
         let g = granule m line in
@@ -686,13 +684,9 @@ let process_cas m (t : tstate) addr expected desired =
    then
      let stall = m.inject.inj_lock_stall ~tid:t.tid ~clock:t.clock in
      if stall > 0 then begin
-       trace m
-         (Trace.Injected
-            {
-              tid = t.tid;
-              clock = t.clock;
-              fault = Printf.sprintf "lock-holder-stall:+%d" stall;
-            });
+       if m.obs_active then
+         observe m t
+           (Sev.Injected (Printf.sprintf "lock-holder-stall:+%d" stall));
        t.clock <- t.clock + stall
      end);
   success
@@ -709,8 +703,7 @@ let process_xbegin m (t : tstate) =
   | None -> ());
   charge m t m.c_xbegin;
   if m.exp_active then m.exp_point <- Explore.Xbegin;
-  trace m (Trace.Xbegin { tid = t.tid; clock = t.clock });
-  if m.san_active then san m t Sev.Txn_begin;
+  if m.obs_active then observe m t Sev.Txn_begin;
   Txn.reset t.arena ~start_clock:t.clock;
   t.txn <- Some t.arena
 
@@ -728,22 +721,16 @@ let process_xend m (t : tstate) =
           publish_write m ~writer:t.tid (Mem.line_of_addr addr));
       List.iter
         (fun (kind, addr, words) ->
-          if m.san_active then san m t (Sev.Free_done { addr; words });
+          if m.obs_active then observe m t (Sev.Free_done { addr; words });
           Al.free m.alloc ~kind ~addr ~words)
         (Txn.frees txn);
       release_txn m t txn;
       t.cnt.commits <- t.cnt.commits + 1;
       t.cnt.committed_cycles <-
         t.cnt.committed_cycles + (t.clock - Txn.start_clock txn);
-      trace m
-        (Trace.Commit
-           {
-             tid = t.tid;
-             clock = t.clock;
-             reads = Txn.reads txn;
-             writes = Txn.written txn;
-           });
-      if m.san_active then san m t Sev.Txn_commit;
+      if m.obs_active then
+        observe m t
+          (Sev.Txn_commit { reads = Txn.reads txn; writes = Txn.written txn });
       t.txn <- None
 
 let process_alloc m (t : tstate) kind words =
@@ -758,8 +745,7 @@ let process_alloc m (t : tstate) kind words =
        slow path (page fault / syscall) always aborts, like real RTM;
        outside, the failure surfaces as an exception the caller must
        handle. *)
-    trace m
-      (Trace.Injected { tid = t.tid; clock = t.clock; fault = "alloc-pressure" });
+    if m.obs_active then observe m t (Sev.Injected "alloc-pressure");
     (match t.txn with
     | Some _ -> abort_txn m t Abort.Alloc_fault
     | None -> t.pending_exn <- Some Al.Alloc_failure);
@@ -770,7 +756,7 @@ let process_alloc m (t : tstate) kind words =
     (match t.txn with
     | Some txn -> Txn.record_alloc txn kind addr words
     | None -> ());
-    if m.san_active then san m t (Sev.Alloc_done { addr; words });
+    if m.obs_active then observe m t (Sev.Alloc_done { addr; words });
     addr
   end
 
@@ -786,7 +772,7 @@ let process_free m (t : tstate) kind addr words =
   match t.txn with
   | Some txn -> Txn.record_free txn kind addr words
   | None ->
-      if m.san_active then san m t (Sev.Free_done { addr; words });
+      if m.obs_active then observe m t (Sev.Free_done { addr; words });
       Al.free m.alloc ~kind ~addr ~words
 
 (* ---------- aggregated counters ---------- *)
@@ -969,8 +955,7 @@ module Direct = struct
     let m = machine () in
     let t = thread m in
     t.cnt.ops <- t.cnt.ops + 1;
-    trace m (Trace.Op_done { tid = t.tid; clock = t.clock; key = t.op_key });
-    if m.san_active then san m t Sev.Op_exit;
+    if m.obs_active then observe m t (Sev.Op_exit t.op_key);
     t.op_key <- -1;
     proceed m t ()
 
@@ -984,14 +969,14 @@ module Direct = struct
     let m = machine () in
     let t = thread m in
     charge m t 1;
-    if m.san_active then san m t (Sev.Unsafe_read addr);
+    if m.obs_active then observe m t (Sev.Unsafe_read addr);
     proceed m t (Mem.get m.mem addr)
 
   let untracked_write addr v =
     let m = machine () in
     let t = thread m in
     charge m t 1;
-    if m.san_active then san m t (Sev.Unsafe_write addr);
+    if m.obs_active then observe m t (Sev.Unsafe_write addr);
     proceed m t (Mem.set m.mem addr v)
 
   (* Double-gated on Sev.armed: callers test it before building the note
@@ -1001,7 +986,7 @@ module Direct = struct
     if Sev.armed () then begin
       let m = machine () in
       let t = thread m in
-      if m.san_active then san m t (Sev.Note note);
+      if m.obs_active then observe m t (Sev.Note note);
       proceed m t ()
     end
 end
@@ -1015,8 +1000,8 @@ let schedule m bodies =
     {
       retc =
         (fun () ->
-          if m.san_active then
-            san m t (Sev.Thread_exit { failed = false; aborted = false });
+          if m.obs_active then
+            observe m t (Sev.Thread_exit { failed = false; aborted = false });
           t.status <- Done);
       exnc =
         (fun e ->
@@ -1026,8 +1011,8 @@ let schedule m bodies =
               rollback_allocs m txn;
               t.txn <- None
           | None -> ());
-          if m.san_active then
-            san m t
+          if m.obs_active then
+            observe m t
               (Sev.Thread_exit
                  {
                    failed = true;
@@ -1083,6 +1068,32 @@ let schedule m bodies =
             | None -> Effect.Deep.continue k ()))
     | Running | Done | Failed _ -> assert false
   in
+  (* Pre-step, run by both loops before every step of thread [t], whether
+     it came off the heap, straight from run-ahead or from the exploration
+     pick: the crash, sampling and injected preemption.  In the heap loop
+     [t] is the (clock, tid) minimum, so the crash fires exactly when the
+     global minimum clock crosses [crash_at]; the exploration loop runs the
+     same checks on its pick.  Injected preemption means the OS
+     descheduled [t] until [resume_at]: a live transaction dies (context
+     switches abort RTM transactions) and the clock jumps, and the caller
+     re-picks, so other threads run right past the stalled one. *)
+  let preempted t =
+    if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
+    if m.sample_window > 0 then sample_boundaries m t.clock;
+    let resume_at =
+      if m.inj_active then m.inject.inj_preempt ~tid:t.tid ~clock:t.clock
+      else 0
+    in
+    if resume_at <= t.clock then false
+    else begin
+      if m.obs_active then
+        observe m t (Sev.Injected (Printf.sprintf "preempt:until=%d" resume_at));
+      abort_txn m t Abort.Spurious;
+      (* The abort penalty can carry the clock past [resume_at]. *)
+      t.clock <- max t.clock resume_at;
+      true
+    end
+  in
   let rec loop () =
     if not (Sched.is_empty m.sched) then begin
       let packed = Sched.pop m.sched in
@@ -1098,31 +1109,8 @@ let schedule m bodies =
       end
       else dispatch t
     end
-  (* Pre-step checks (sampling, injected preemption) run before every step,
-     whether the thread came off the heap or straight from run-ahead. *)
   and dispatch t =
-    (* The dispatched thread is the (clock, tid) minimum, so the crash
-       fires exactly when the global minimum clock crosses [crash_at]. *)
-    if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
-    if m.sample_window > 0 then sample_boundaries m t.clock;
-    (* Injected preemption: the OS descheduled this thread until
-       [resume_at].  A live transaction dies (context switches abort RTM
-       transactions), the clock jumps, and the scheduler re-picks — other
-       threads run right past the stalled one. *)
-    let resume_at =
-      if m.inj_active then m.inject.inj_preempt ~tid:t.tid ~clock:t.clock
-      else 0
-    in
-    if resume_at > t.clock then begin
-      trace m
-        (Trace.Injected
-           {
-             tid = t.tid;
-             clock = t.clock;
-             fault = Printf.sprintf "preempt:until=%d" resume_at;
-           });
-      abort_txn m t Abort.Spurious;
-      t.clock <- max t.clock resume_at;
+    if preempted t then begin
       Sched.push m.sched ~clock:t.clock ~tid:t.tid;
       loop ()
     end
@@ -1199,26 +1187,7 @@ let schedule m bodies =
         done;
         if t.clock < !now then t.clock <- !now;
         now := t.clock;
-        (* Crash parity with [dispatch]. *)
-        if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
-        if m.sample_window > 0 then sample_boundaries m t.clock;
-        (* Injected-preemption parity with [dispatch]. *)
-        let resume_at =
-          if m.inj_active then m.inject.inj_preempt ~tid:t.tid ~clock:t.clock
-          else 0
-        in
-        if resume_at > t.clock then begin
-          trace m
-            (Trace.Injected
-               {
-                 tid = t.tid;
-                 clock = t.clock;
-                 fault = Printf.sprintf "preempt:until=%d" resume_at;
-               });
-          abort_txn m t Abort.Spurious;
-          t.clock <- max t.clock resume_at
-        end
-        else begin
+        if not (preempted t) then begin
           m.exp_point <- Explore.Step;
           resume_once t;
           match t.status with
@@ -1226,13 +1195,9 @@ let schedule m bodies =
               let span = m.explore ~tid:t.tid ~point:m.exp_point in
               if span > 0 then begin
                 parked.(c) <- span;
-                trace m
-                  (Trace.Injected
-                     {
-                       tid = t.tid;
-                       clock = t.clock;
-                       fault = Printf.sprintf "explore-park:%d" span;
-                     })
+                if m.obs_active then
+                  observe m t
+                    (Sev.Injected (Printf.sprintf "explore-park:%d" span))
               end
           | Done | Failed _ -> ()
           | Running -> assert false

@@ -116,9 +116,16 @@ module Direct : sig
   val san_note : Sev.note -> unit
 end
 
-val set_tracer : t -> (Trace.event -> unit) option -> unit
-(** Install (or remove) a trace sink; see {!Trace}.  Tracing never affects
-    simulated results. *)
+val set_observer : t -> (Sev.event -> unit) option -> unit
+(** Install (or remove) the machine's one passive observer: it receives
+    every {!Sev.event} of the run, in execution order — accesses,
+    transaction begin/commit/abort, conflicts, retired operations,
+    injected faults, announcements and thread exits.  [Trace.push ring]
+    and [Euno_san.San.hook checker] are the two consumers.  With no
+    observer installed each emission site tests a single bool and builds
+    no event, so unobserved runs stay byte-identical.  The observer sees
+    tids, clocks and payloads only; it must not (and cannot, through
+    this interface) perturb simulated state.  Call before {!run}. *)
 
 exception Crashed of { at_cycle : int }
 (** The whole simulated process died (see {!set_crash}).  Escapes {!run};
@@ -179,15 +186,6 @@ val no_injector : injector
 
 val set_injector : t -> injector -> unit
 (** Install fault hooks.  Call before {!run}. *)
-
-val set_san_hook : t -> (Sev.event -> unit) option -> unit
-(** Install (or remove) a sanitizer event sink; see {!Sev} and
-    [Euno_san].  Gated behind the same inert-branch pattern as the fault
-    injector: with no hook installed the access path tests a single bool
-    and builds no event, so disabled-mode runs stay byte-identical.  The
-    hook observes counters and protocol announcements only — it must not
-    (and cannot, through this interface) perturb simulated state.  Call
-    before {!run}. *)
 
 val set_explorer : t -> (tid:int -> point:Explore.point -> int) option -> unit
 (** Install (or remove) a schedule-exploration policy consultation; see

@@ -1,13 +1,16 @@
-(* Semantic-event vocabulary of the sanitizer (EunoSan).
+(* The simulated machine's event stream.
 
-   The machine already interprets every memory access, atomic, RTM
-   primitive and lock operation; when the sanitizer is armed it forwards
-   each of them — plus protocol announcements performed by the sync
-   libraries via {!Api.san_note} — to an installed hook as one of the
-   events below.  Everything here is inert by default: [enabled] is the
-   single arming flag, announcement call sites test it before building a
-   note, and the machine only consults its hook when one is installed, so
-   a disabled run is byte-identical to a build without the sanitizer. *)
+   The machine interprets every memory access, atomic, RTM primitive and
+   lock operation; while an observer is installed
+   (Machine.set_observer) it reports each of them, plus the transaction
+   lifecycle (begin, commit, abort, the conflict that doomed a victim,
+   retired operations, injected faults) and the protocol announcements
+   the sync libraries make via {!Api.san_note}, as one of the events
+   below.  The sanitizer (Euno_san) and the tracer (Trace) are the two
+   consumers.  Everything here is inert by default: [enabled] arms the
+   announcements, whose call sites test it before building a note, and
+   the machine builds no event while no observer is installed, so an
+   unobserved run is byte-identical to one without this module. *)
 
 (* Which protocol a lock announcement belongs to.  The id paired with a
    kind is the lock's representative simulated address (for [Slot], the
@@ -40,7 +43,8 @@ type note =
   | Opt_exit (* optimistic read section validated or abandoned *)
 
 (* One machine-level event.  [tid]/[clock] are of the thread the event
-   happened on (for aborts: the victim, at the instant it was doomed). *)
+   happened on (for aborts: the victim, at the instant it was doomed; for
+   conflicts: the attacker). *)
 type event = { tid : int; clock : int; body : body }
 
 and body =
@@ -49,17 +53,22 @@ and body =
   | Txn_line_read of int (* line id entering the live read set *)
   | Txn_line_write of int (* line id entering the live write set *)
   | Txn_begin
-  | Txn_commit
-  | Txn_aborted
+  | Txn_commit of { reads : int; writes : int }
+    (* read/write-set sizes, in conflict granules *)
+  | Txn_aborted of Abort.code
   | Unsafe_read of int (* untracked access: addr, no coherence *)
   | Unsafe_write of int
   | Alloc_done of { addr : int; words : int }
   | Free_done of { addr : int; words : int }
-  | Op_exit (* one benchmark operation retired (Op_done) *)
+  | Op_exit of int (* one benchmark operation retired (Op_done); its op key *)
   | Thread_exit of { failed : bool; aborted : bool }
       (* [aborted]: the thread died with an uncaught {!Eff.Txn_abort} —
          an abort escaped the Htm wrappers *)
   | Note of note
+  | Conflict of { victim : int; line : int; kind : Euno_mem.Linemap.kind }
+    (* on the attacker, at its coherence request: the access to [line]
+       doomed [victim]'s transaction *)
+  | Injected of string (* a fault-injection action fired on this thread *)
 
 (* ---------- arming ---------- *)
 

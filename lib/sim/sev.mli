@@ -1,16 +1,18 @@
-(** Semantic-event vocabulary of the sanitizer (EunoSan).
+(** The simulated machine's event stream.
 
-    When armed ({!armed}), the machine forwards every memory access,
-    transaction event, lock announcement and thread lifecycle point to an
-    installed hook ({!Machine.set_san_hook}) as one of these events; the
-    checkers in [Euno_san] consume the stream.  With the sanitizer
-    disabled nothing here is consulted on the access path — disabled-mode
-    runs are byte-identical to a build without it.
+    While an observer is installed ({!Machine.set_observer}), the machine
+    reports every memory access, transaction lifecycle point (begin,
+    commit, abort, the conflict that doomed a victim), retired operation,
+    injected fault, lock announcement and thread exit as one of these
+    events.  The sanitizer checkers in [Euno_san] and the {!Trace} ring
+    consume the stream.  With no observer installed the machine builds
+    no event, and announcement sites build no note unless {!armed}:
+    unobserved runs are byte-identical to a build without this module.
 
     {b Determinism:} events are emitted synchronously from the machine's
     single-threaded interpreter in execution order, so for a fixed seed
-    the event stream — and therefore every sanitizer verdict — is
-    bit-for-bit reproducible. *)
+    the event stream — and therefore every sanitizer verdict and every
+    trace — is bit-for-bit reproducible. *)
 
 (** Protocol family of a lock announcement; paired with a representative
     simulated address, [(kind, id)] identifies one lock uniquely. *)
@@ -38,6 +40,9 @@ type note =
   | Opt_exit  (** optimistic read section validated or abandoned *)
 
 type event = { tid : int; clock : int; body : body }
+(** [tid]/[clock] are of the thread the event happened on: for an abort
+    the victim, at the instant it was doomed; for a conflict the
+    attacker, at its coherence request. *)
 
 and body =
   | Plain_read of { addr : int; kind : Euno_mem.Linemap.kind }
@@ -45,16 +50,20 @@ and body =
   | Txn_line_read of int  (** line id entering the live read set *)
   | Txn_line_write of int  (** line id entering the live write set *)
   | Txn_begin
-  | Txn_commit
-  | Txn_aborted
+  | Txn_commit of { reads : int; writes : int }
+      (** read/write-set sizes, in conflict granules *)
+  | Txn_aborted of Abort.code
   | Unsafe_read of int  (** untracked access (addr): bypasses coherence *)
   | Unsafe_write of int
   | Alloc_done of { addr : int; words : int }
   | Free_done of { addr : int; words : int }
-  | Op_exit  (** one benchmark operation retired *)
+  | Op_exit of int  (** one benchmark operation retired; its op key *)
   | Thread_exit of { failed : bool; aborted : bool }
       (** [aborted]: the thread died with an uncaught [Txn_abort] *)
   | Note of note
+  | Conflict of { victim : int; line : int; kind : Euno_mem.Linemap.kind }
+      (** the attacker's access to [line] doomed [victim]'s transaction *)
+  | Injected of string  (** a fault-injection action fired on this thread *)
 
 val armed : unit -> bool
 (** True inside a sanitizer session on the calling domain.  Announcement

@@ -1,45 +1,43 @@
-(* Event tracing for the simulated machine: a bounded ring of transaction
-   lifecycle events (begin / commit / abort / conflict / completed op)
-   that answers the debugging question an HTM simulator always gets asked:
-   "why did this transaction abort?".
+(* Event tracing for the simulated machine: a bounded ring of the
+   transaction lifecycle kinds of the machine's Sev stream (begin /
+   commit / abort / conflict / completed op / injected fault) that answers
+   the debugging question an HTM simulator always gets asked: "why did
+   this transaction abort?".
 
-   Install with Machine.set_tracer; the hooks fire only at transaction
-   boundaries and conflicts, never on individual accesses, so tracing has
-   negligible host cost and zero effect on simulated results. *)
+   Install [push ring] with Machine.set_observer.  The observer receives
+   every event, so a traced run also builds the per-access events the
+   ring then drops; tracing never changes simulated results. *)
 
-type event =
-  | Xbegin of { tid : int; clock : int }
-  | Commit of { tid : int; clock : int; reads : int; writes : int }
-  | Aborted of { tid : int; clock : int; code : Abort.code }
-  | Conflict of {
-      attacker : int;
-      victim : int;
-      line : int;
-      kind : Euno_mem.Linemap.kind;
-      clock : int; (* attacker's clock at the coherence request *)
-    }
-  | Op_done of { tid : int; clock : int; key : int }
-  | Injected of { tid : int; clock : int; fault : string }
-    (* a fault-injection action fired on this thread (see Machine.injector) *)
+let traced (e : Sev.event) =
+  match e.body with
+  | Sev.Txn_begin | Txn_commit _ | Txn_aborted _ | Conflict _ | Op_exit _
+  | Injected _ ->
+      true
+  | Plain_read _ | Plain_write _ | Txn_line_read _ | Txn_line_write _
+  | Unsafe_read _ | Unsafe_write _ | Alloc_done _ | Free_done _
+  | Thread_exit _ | Note _ ->
+      false
 
-let event_to_string = function
-  | Xbegin { tid; clock } -> Printf.sprintf "[%10d] t%-2d xbegin" clock tid
-  | Commit { tid; clock; reads; writes } ->
+let untraced fn = invalid_arg ("Trace." ^ fn ^ ": event kind is not traced")
+
+let event_to_string ({ tid; clock; body } : Sev.event) =
+  match body with
+  | Sev.Txn_begin -> Printf.sprintf "[%10d] t%-2d xbegin" clock tid
+  | Txn_commit { reads; writes } ->
       Printf.sprintf "[%10d] t%-2d commit (rs=%d ws=%d)" clock tid reads writes
-  | Aborted { tid; clock; code } ->
+  | Txn_aborted code ->
       Printf.sprintf "[%10d] t%-2d ABORT %s" clock tid (Abort.to_string code)
-  | Conflict { attacker; victim; line; kind; clock } ->
-      Printf.sprintf "[%10d] t%-2d dooms t%-2d on line %d (%s)" clock attacker
+  | Conflict { victim; line; kind } ->
+      Printf.sprintf "[%10d] t%-2d dooms t%-2d on line %d (%s)" clock tid
         victim line
         (Euno_mem.Linemap.kind_to_string kind)
-  | Op_done { tid; clock; key } ->
-      Printf.sprintf "[%10d] t%-2d op done (key %d)" clock tid key
-  | Injected { tid; clock; fault } ->
-      Printf.sprintf "[%10d] t%-2d FAULT %s" clock tid fault
+  | Op_exit key -> Printf.sprintf "[%10d] t%-2d op done (key %d)" clock tid key
+  | Injected fault -> Printf.sprintf "[%10d] t%-2d FAULT %s" clock tid fault
+  | _ -> untraced "event_to_string"
 
-(* Bounded ring buffer of the most recent events. *)
+(* Bounded ring buffer of the most recent traced events. *)
 type ring = {
-  buf : event option array;
+  buf : Sev.event option array;
   mutable next : int;
   mutable total : int;
 }
@@ -49,9 +47,11 @@ let ring ~capacity =
   { buf = Array.make capacity None; next = 0; total = 0 }
 
 let push r e =
-  r.buf.(r.next) <- Some e;
-  r.next <- (r.next + 1) mod Array.length r.buf;
-  r.total <- r.total + 1
+  if traced e then begin
+    r.buf.(r.next) <- Some e;
+    r.next <- (r.next + 1) mod Array.length r.buf;
+    r.total <- r.total + 1
+  end
 
 let total r = r.total
 
@@ -72,11 +72,12 @@ let to_strings r = List.map event_to_string (events r)
 
 module Json = Euno_stats.Json
 
-let event_to_json = function
-  | Xbegin { tid; clock } ->
+let event_to_json ({ tid; clock; body } : Sev.event) =
+  match body with
+  | Sev.Txn_begin ->
       Json.Obj
         [ ("ev", Json.Str "xbegin"); ("tid", Json.Int tid); ("clock", Json.Int clock) ]
-  | Commit { tid; clock; reads; writes } ->
+  | Txn_commit { reads; writes } ->
       Json.Obj
         [
           ("ev", Json.Str "commit");
@@ -85,7 +86,7 @@ let event_to_json = function
           ("reads", Json.Int reads);
           ("writes", Json.Int writes);
         ]
-  | Aborted { tid; clock; code } ->
+  | Txn_aborted code ->
       Json.Obj
         [
           ("ev", Json.Str "abort");
@@ -94,17 +95,17 @@ let event_to_json = function
           ("class", Json.Str (Abort.class_name (Abort.index code)));
           ("code", Json.Str (Abort.to_string code));
         ]
-  | Conflict { attacker; victim; line; kind; clock } ->
+  | Conflict { victim; line; kind } ->
       Json.Obj
         [
           ("ev", Json.Str "conflict");
-          ("attacker", Json.Int attacker);
+          ("attacker", Json.Int tid);
           ("victim", Json.Int victim);
           ("line", Json.Int line);
           ("kind", Json.Str (Euno_mem.Linemap.kind_to_string kind));
           ("clock", Json.Int clock);
         ]
-  | Op_done { tid; clock; key } ->
+  | Op_exit key ->
       Json.Obj
         [
           ("ev", Json.Str "op_done");
@@ -112,7 +113,7 @@ let event_to_json = function
           ("clock", Json.Int clock);
           ("key", Json.Int key);
         ]
-  | Injected { tid; clock; fault } ->
+  | Injected fault ->
       Json.Obj
         [
           ("ev", Json.Str "injected");
@@ -120,17 +121,11 @@ let event_to_json = function
           ("clock", Json.Int clock);
           ("fault", Json.Str fault);
         ]
+  | _ -> untraced "event_to_json"
 
 (* One compact JSON document per retained event, oldest first: cat-able
    into any JSONL pipeline. *)
 let to_jsonl r = List.map (fun e -> Json.to_string (event_to_json e)) (events r)
-
-let export_jsonl r oc =
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    (to_jsonl r)
 
 (* Chrome trace_event format (chrome://tracing, Perfetto): each
    transaction becomes a complete ("X") duration slice from its xbegin to
@@ -163,19 +158,19 @@ let chrome_trace r =
              [ ("dur", Json.Int (max 1 (clock - start))); ("args", args) ])
   in
   List.iter
-    (fun ev ->
-      match ev with
-      | Xbegin { tid; clock } -> Hashtbl.replace open_tx tid clock
-      | Commit { tid; clock; reads; writes } ->
+    (fun ({ tid; clock; body } : Sev.event) ->
+      match body with
+      | Sev.Txn_begin -> Hashtbl.replace open_tx tid clock
+      | Txn_commit { reads; writes } ->
           close_tx tid clock ~name:"txn:commit"
             (Json.Obj [ ("reads", Json.Int reads); ("writes", Json.Int writes) ])
-      | Aborted { tid; clock; code } ->
+      | Txn_aborted code ->
           close_tx tid clock ~name:"txn:abort"
             (Json.Obj
                [ ("class", Json.Str (Abort.class_name (Abort.index code))) ])
-      | Conflict { attacker; victim; line; kind; clock } ->
+      | Conflict { victim; line; kind } ->
           emit
-            (common ~name:"conflict" ~ph:"i" ~tid:attacker ~ts:clock
+            (common ~name:"conflict" ~ph:"i" ~tid ~ts:clock
                [
                  ("s", Json.Str "t");
                  ( "args",
@@ -186,17 +181,18 @@ let chrome_trace r =
                        ("kind", Json.Str (Euno_mem.Linemap.kind_to_string kind));
                      ] );
                ])
-      | Op_done { tid; clock; key } ->
+      | Op_exit key ->
           emit
             (common ~name:"op" ~ph:"i" ~tid ~ts:clock
                [ ("s", Json.Str "t"); ("args", Json.Obj [ ("key", Json.Int key) ]) ])
-      | Injected { tid; clock; fault } ->
+      | Injected fault ->
           emit
             (common ~name:"fault" ~ph:"i" ~tid ~ts:clock
                [
                  ("s", Json.Str "t");
                  ("args", Json.Obj [ ("fault", Json.Str fault) ]);
-               ]))
+               ])
+      | _ -> untraced "chrome_trace")
     (events r);
   Json.Obj
     [
@@ -207,11 +203,7 @@ let chrome_trace r =
 (* Events selected by thread, oldest first. *)
 let for_thread r tid =
   List.filter
-    (function
-      | Xbegin e -> e.tid = tid
-      | Commit e -> e.tid = tid
-      | Aborted e -> e.tid = tid
-      | Conflict e -> e.attacker = tid || e.victim = tid
-      | Op_done e -> e.tid = tid
-      | Injected e -> e.tid = tid)
+    (fun (e : Sev.event) ->
+      e.tid = tid
+      || match e.body with Sev.Conflict { victim; _ } -> victim = tid | _ -> false)
     (events r)

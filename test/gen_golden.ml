@@ -11,7 +11,7 @@ let () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, scenario) ->
-      let out = scenario ~injector:Euno_sim.Machine.no_injector in
+      let out = scenario ~setup:ignore in
       let write file lines =
         let oc = open_out (Filename.concat dir file) in
         List.iter

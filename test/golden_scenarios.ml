@@ -5,10 +5,13 @@
    classification or cycle charging is caught — this is the contract the
    fast-path optimizations must preserve.
 
-   Each scenario takes the injector installed on its recorded machine.
-   The fixtures are recorded with [Machine.no_injector]; any other
-   injector makes every Api call yield, so an inert one replays the
-   scenario with a scheduler turn after every call. *)
+   Each scenario installs an observer that records the event stream, then
+   applies [setup] to its machine before the run.  The fixtures are
+   recorded with [ignore].  Installing any injector makes every Api call
+   yield, so an inert one replays the scenario with a scheduler turn after
+   every call; installing an explorer swaps the heap scheduler for the
+   exploration loop; removing the observer runs the unobserved path every
+   figure and campaign takes, which yields an empty stream and trace. *)
 
 module Memory = Euno_mem.Memory
 module Linemap = Euno_mem.Linemap
@@ -17,14 +20,22 @@ module Machine = Euno_sim.Machine
 module Cost = Euno_sim.Cost
 module Api = Euno_sim.Api
 module Abort = Euno_sim.Abort
+module Sev = Euno_sim.Sev
 module Trace = Euno_sim.Trace
 module Json = Euno_stats.Json
 module Kv = Euno_harness.Kv
 
 let seed = 42
 
-(* One scenario = (trace JSONL lines, summary lines), both deterministic. *)
-type output = { trace : string list; summary : string list }
+(* One scenario = (trace JSONL lines, summary lines), both deterministic,
+   plus the whole observer stream and the aggregate counters they were
+   rendered from. *)
+type output = {
+  trace : string list;
+  summary : string list;
+  events : Sev.event list;
+  agg : Machine.snapshot;
+}
 
 let summarize m threads =
   let agg = Machine.aggregate m in
@@ -49,11 +60,30 @@ let summarize m threads =
   done;
   List.rev !lines
 
+let observe m =
+  let events = ref [] in
+  Machine.set_observer m (Some (fun e -> events := e :: !events));
+  events
+
+let output m threads events =
+  let events = List.rev !events in
+  {
+    trace =
+      List.filter_map
+        (fun e ->
+          if Trace.traced e then Some (Json.to_string (Trace.event_to_json e))
+          else None)
+        events;
+    summary = summarize m threads;
+    events;
+    agg = Machine.aggregate m;
+  }
+
 (* A contended mixed workload on one tree kind: every thread hammers a
    small key space with gets/puts/deletes/scans.  Preload happens off the
    record on a frictionless single-thread machine sharing the same world,
    exactly like Runner's load phase. *)
-let tree_scenario kind ~threads ~ops ~key_space ~injector =
+let tree_scenario kind ~threads ~ops ~key_space ~setup =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in
@@ -67,10 +97,8 @@ let tree_scenario kind ~threads ~ops ~key_space ~injector =
         kv)
   in
   let m = Machine.create ~threads ~seed ~cost:Cost.default ~mem ~map ~alloc in
-  Machine.set_injector m injector;
-  let trace = ref [] in
-  Machine.set_tracer m
-    (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  let events = observe m in
+  setup m;
   Machine.run m (fun _tid ->
       for _ = 1 to ops do
         let key = Api.rand key_space in
@@ -82,12 +110,12 @@ let tree_scenario kind ~threads ~ops ~key_space ~injector =
         else ignore (kv.Kv.scan ~from:key ~count:4);
         Api.op_done ()
       done);
-  { trace = List.rev !trace; summary = summarize m threads }
+  output m threads events
 
 (* Raw engine exercise without any tree: plain and transactional accesses,
    CAS/FAA, allocation with rollback, an explicit abort, and cross-thread
    conflicts on a deliberately shared line. *)
-let engine_scenario ~threads ~rounds ~injector =
+let engine_scenario ~threads ~rounds ~setup =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in
@@ -96,10 +124,8 @@ let engine_scenario ~threads ~rounds ~injector =
       (fun () -> Api.alloc ~kind:Linemap.Scratch ~words:16)
   in
   let m = Machine.create ~threads ~seed ~cost:Cost.default ~mem ~map ~alloc in
-  Machine.set_injector m injector;
-  let trace = ref [] in
-  Machine.set_tracer m
-    (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  let events = observe m in
+  setup m;
   Machine.run m (fun tid ->
       for round = 1 to rounds do
         Api.op_key round;
@@ -120,7 +146,7 @@ let engine_scenario ~threads ~rounds ~injector =
         Api.work 25;
         Api.op_done ()
       done);
-  { trace = List.rev !trace; summary = summarize m threads }
+  output m threads events
 
 (* Fixture name -> generator.  Keep names filesystem-safe. *)
 let all =

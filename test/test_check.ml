@@ -64,8 +64,11 @@ let traced_tree_run ?policy ~seed () =
   | Some spec ->
       Machine.set_explorer m (Some (Explore.hook (Explore.create ~seed spec))));
   let trace = ref [] in
-  Machine.set_tracer m
-    (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  Machine.set_observer m
+    (Some
+       (fun e ->
+         if Trace.traced e then
+           trace := Json.to_string (Trace.event_to_json e) :: !trace));
   Machine.run m (fun _tid ->
       for _ = 1 to 20 do
         let k = Api.rand 32 in
@@ -109,7 +112,8 @@ let disjoint_trace ?explorer ~seed () =
   | None -> ()
   | Some e -> Machine.set_explorer m (Some (Explore.hook e)));
   let trace = ref [] in
-  Machine.set_tracer m (Some (fun e -> trace := e :: !trace));
+  Machine.set_observer m
+    (Some (fun e -> if Trace.traced e then trace := e :: !trace));
   Machine.run m (fun tid ->
       let mine = base + (tid * 16) in
       for round = 1 to 10 do
@@ -130,15 +134,17 @@ let disjoint_trace ?explorer ~seed () =
 (* Clock-insensitive per-event tag: exploration legitimately shifts
    clocks (a parked thread is bumped forward on resume), but never what a
    thread does. *)
-let tag = function
-  | Trace.Xbegin { tid; _ } -> (tid, "xbegin")
-  | Trace.Commit { tid; reads; writes; _ } ->
+let tag ({ tid; body; _ } : Sev.event) =
+  match body with
+  | Sev.Txn_begin -> (tid, "xbegin")
+  | Txn_commit { reads; writes } ->
       (tid, Printf.sprintf "commit:%d:%d" reads writes)
-  | Trace.Aborted { tid; _ } -> (tid, "abort")
-  | Trace.Conflict { attacker; victim; line; _ } ->
-      (attacker, Printf.sprintf "conflict:%d:%d" victim line)
-  | Trace.Op_done { tid; key; _ } -> (tid, Printf.sprintf "op:%d" key)
-  | Trace.Injected { tid; fault; _ } -> (tid, "inj:" ^ fault)
+  | Txn_aborted _ -> (tid, "abort")
+  | Conflict { victim; line; _ } ->
+      (tid, Printf.sprintf "conflict:%d:%d" victim line)
+  | Op_exit key -> (tid, Printf.sprintf "op:%d" key)
+  | Injected fault -> (tid, "inj:" ^ fault)
+  | _ -> invalid_arg "tag: untraced event"
 
 let project tid evs =
   List.filter_map
@@ -180,7 +186,7 @@ let sev_stream spec ~seed =
   let evs = ref [] in
   Sev.set_armed true;
   Fun.protect ~finally:(fun () -> Sev.set_armed false) @@ fun () ->
-  Machine.set_san_hook m (Some (fun e -> evs := e :: !evs));
+  Machine.set_observer m (Some (fun e -> evs := e :: !evs));
   Machine.run m (fun tid ->
       for i = 1 to 8 do
         let k = (tid + i) mod 12 in

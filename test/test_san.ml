@@ -19,6 +19,8 @@ module Linemap = Euno_mem.Linemap
 let feed c tid clock body = San.hook c { Sev.tid; clock; body }
 let wr addr = Sev.Plain_write { addr; kind = Linemap.Record }
 let rd addr = Sev.Plain_read { addr; kind = Linemap.Record }
+let commit = Sev.Txn_commit { reads = 1; writes = 1 }
+let aborted = Sev.Txn_aborted Euno_sim.Abort.Spurious
 
 let kinds (s : San.summary) =
   List.map (fun (f : San.finding) -> f.San.f_kind) s.San.findings
@@ -91,10 +93,10 @@ let test_commit_edge_suppresses () =
   feed c 0 1 (wr 100);
   feed c 0 2 Sev.Txn_begin;
   feed c 0 3 (Sev.Txn_line_write 5);
-  feed c 0 4 Sev.Txn_commit;
+  feed c 0 4 commit;
   feed c 1 5 Sev.Txn_begin;
   feed c 1 6 (Sev.Txn_line_read 5);
-  feed c 1 7 Sev.Txn_commit;
+  feed c 1 7 commit;
   feed c 1 8 (wr 100);
   check_clean "commit-ordered accesses" (San.finish c)
 
@@ -144,7 +146,7 @@ let test_alloc_clears_history () =
 let test_lock_leak_at_op_exit () =
   let c = San.create () in
   feed c 0 1 (Sev.Note (Sev.Acquire (Sev.Spin, 7)));
-  feed c 0 2 Sev.Op_exit;
+  feed c 0 2 (Sev.Op_exit 0);
   check_bool "leak flagged" true (has San.Lock_leak (San.finish c))
 
 let test_lock_leak_at_thread_exit () =
@@ -220,7 +222,7 @@ let test_atomicity_violation () =
   let c = San.create () in
   feed c 0 1 Sev.Txn_begin;
   feed c 0 2 (Sev.Txn_line_write line);
-  feed c 0 3 Sev.Txn_commit;
+  feed c 0 3 commit;
   feed c 1 4 (Sev.Unsafe_write addr);
   check_clean "footprint retired at commit" (San.finish c)
 
@@ -231,7 +233,7 @@ let test_txn_unbalanced () =
   check_bool "nested begin flagged" true
     (has San.Txn_unbalanced (San.finish c));
   let c = San.create () in
-  feed c 0 1 Sev.Txn_commit;
+  feed c 0 1 commit;
   check_bool "commit without begin flagged" true
     (has San.Txn_unbalanced (San.finish c));
   let c = San.create () in
@@ -242,19 +244,29 @@ let test_txn_unbalanced () =
 
 let test_escaped_abort () =
   let c = San.create () in
-  feed c 0 1 Sev.Txn_aborted;
+  feed c 0 1 aborted;
   check_bool "abort outside attempt flagged" true
     (has San.Escaped_abort (San.finish c));
   (* the same delivery inside Htm.attempt is the normal protocol *)
   let c = San.create () in
   feed c 0 1 (Sev.Note Sev.Attempt_enter);
-  feed c 0 2 Sev.Txn_aborted;
+  feed c 0 2 aborted;
   feed c 0 3 (Sev.Note Sev.Attempt_exit);
   check_clean "abort inside attempt" (San.finish c);
   let c = San.create () in
   feed c 0 1 (Sev.Thread_exit { failed = true; aborted = true });
   check_bool "thread death by abort flagged" true
     (has San.Escaped_abort (San.finish c))
+
+(* The trace-only kinds pass through the checker untouched: not counted,
+   not attributed to a thread, never a finding. *)
+let test_trace_only_kinds_ignored () =
+  let c = San.create () in
+  feed c 0 1 (Sev.Conflict { victim = 1; line = 5; kind = Linemap.Record });
+  feed c 1 2 (Sev.Injected "alloc-pressure");
+  let s = San.finish c in
+  check_int "no events counted" 0 s.San.events;
+  check_clean "no findings" s
 
 (* ---------- machine-integrated scenarios ---------- *)
 
@@ -267,7 +279,7 @@ let with_checker m f =
       Sev.reset_racy ())
   @@ fun () ->
   let c = San.create () in
-  Euno_sim.Machine.set_san_hook m (Some (San.hook c));
+  Euno_sim.Machine.set_observer m (Some (San.hook c));
   f c;
   San.finish c
 
@@ -465,6 +477,8 @@ let suite =
     Alcotest.test_case "atomicity violation" `Quick test_atomicity_violation;
     Alcotest.test_case "unbalanced transactions" `Quick test_txn_unbalanced;
     Alcotest.test_case "escaped abort" `Quick test_escaped_abort;
+    Alcotest.test_case "trace-only kinds ignored" `Quick
+      test_trace_only_kinds_ignored;
     Alcotest.test_case "seqlock misuse flagged" `Quick
       test_seqlock_misuse_flagged;
     Alcotest.test_case "mutation: Euno lock leak flagged" `Quick

@@ -9,6 +9,7 @@ module Eff = Euno_sim.Eff
 module Machine = Euno_sim.Machine
 module Cost = Euno_sim.Cost
 module Rng = Euno_sim.Rng
+module Sev = Euno_sim.Sev
 module Memory = Euno_mem.Memory
 
 let test_single_thread_rw () =
@@ -719,7 +720,7 @@ let test_trace_events () =
       Machine.create ~threads:4 ~seed:17 ~cost:Cost.default ~mem:w.mem
         ~map:w.map ~alloc:w.alloc
     in
-    if traced then Machine.set_tracer m (Some (Euno_sim.Trace.push ring));
+    if traced then Machine.set_observer m (Some (Euno_sim.Trace.push ring));
     Machine.run m (fun _ ->
         for _ = 1 to 20 do
           Euno_htm.Htm.atomic ~lock (fun () ->
@@ -734,38 +735,40 @@ let test_trace_events () =
   check_int "tracing does not perturb the simulation" cycles_plain
     cycles_traced;
   let evs = Euno_sim.Trace.events ring in
-  let has p = List.exists p evs in
+  let has p = List.exists (fun (e : Sev.event) -> p e.body) evs in
   check_bool "xbegin traced" true
-    (has (function Euno_sim.Trace.Xbegin _ -> true | _ -> false));
+    (has (function Sev.Txn_begin -> true | _ -> false));
   check_bool "commit traced" true
-    (has (function Euno_sim.Trace.Commit _ -> true | _ -> false));
+    (has (function Sev.Txn_commit _ -> true | _ -> false));
   check_bool "conflict traced" true
-    (has (function Euno_sim.Trace.Conflict _ -> true | _ -> false));
+    (has (function Sev.Conflict _ -> true | _ -> false));
   check_bool "abort traced" true
-    (has (function Euno_sim.Trace.Aborted _ -> true | _ -> false));
+    (has (function Sev.Txn_aborted _ -> true | _ -> false));
   check_bool "renders" true
     (List.for_all
        (fun e -> String.length (Euno_sim.Trace.event_to_string e) > 0)
        evs);
   (* per-thread filter returns only that thread's events *)
   List.iter
-    (fun e ->
-      match e with
-      | Euno_sim.Trace.Xbegin { tid; _ } | Euno_sim.Trace.Commit { tid; _ } ->
-          check_int "filtered tid" 0 tid
+    (fun (e : Sev.event) ->
+      match e.body with
+      | Sev.Txn_begin | Sev.Txn_commit _ -> check_int "filtered tid" 0 e.tid
       | _ -> ())
     (Euno_sim.Trace.for_thread ring 0)
 
 let test_trace_ring_bounded () =
   let ring = Euno_sim.Trace.ring ~capacity:4 in
   for i = 0 to 9 do
-    Euno_sim.Trace.push ring (Euno_sim.Trace.Xbegin { tid = i; clock = i })
+    Euno_sim.Trace.push ring { Sev.tid = i; clock = i; body = Sev.Txn_begin }
   done;
   check_int "total counts all" 10 (Euno_sim.Trace.total ring);
+  (* per-access kinds are not traced: the ring drops them *)
+  Euno_sim.Trace.push ring { Sev.tid = 0; clock = 10; body = Sev.Unsafe_read 0 };
+  check_int "untraced kind dropped" 10 (Euno_sim.Trace.total ring);
   let evs = Euno_sim.Trace.events ring in
   check_int "retains capacity" 4 (List.length evs);
   match List.rev evs with
-  | Euno_sim.Trace.Xbegin { tid = 9; _ } :: _ -> ()
+  | { Sev.tid = 9; _ } :: _ -> ()
   | _ -> Alcotest.fail "newest event missing"
 
 (* ---------- periodic counter sampling (telemetry) ---------- *)
@@ -847,7 +850,7 @@ let traced_ring () =
     Machine.create ~threads:2 ~seed:3 ~cost:Cost.default ~mem:w.mem ~map:w.map
       ~alloc:w.alloc
   in
-  Machine.set_tracer m (Some (Euno_sim.Trace.push ring));
+  Machine.set_observer m (Some (Euno_sim.Trace.push ring));
   Machine.run m (fun _tid ->
       for _ = 1 to 10 do
         Euno_htm.Htm.atomic ~lock (fun () ->
