@@ -83,6 +83,23 @@ let micro_tests () =
                Api.write addr i;
                ignore (Api.read addr)
              done)));
+    (* 100 effects over 16 threads at unit cost: each call leaves its
+       thread behind the parked ones, so every call but the very last
+       yields and a scheduler turn sifts a heap of up to 15 entries.  The
+       machine is built once ([run] resets its threads), so the probe
+       times scheduler turns, not 16 threads' worth of construction. *)
+    (let w = fresh_world () in
+     let addr = Alloc.alloc w.alloc ~kind:Linemap.Scratch ~words:8 in
+     let m =
+       Machine.create ~threads:16 ~seed:1 ~cost:Euno_sim.Cost.unit_costs
+         ~mem:w.mem ~map:w.map ~alloc:w.alloc
+     in
+     simple "sim: 100 effects, 16 threads, every call yields" (fun () ->
+         Machine.run m (fun tid ->
+             (* threads 0-3 take 7 effects, the rest 6: 100 in all *)
+             for i = 1 to if tid < 4 then 7 else 6 do
+               if i land 1 = 0 then Api.write addr i else ignore (Api.read addr)
+             done)));
     (let w = fresh_world () in
      let lock = on_machine w (fun () -> Htm.alloc_lock ()) in
      let addr = Alloc.alloc w.alloc ~kind:Linemap.Scratch ~words:8 in
@@ -200,6 +217,7 @@ let perf_micro_names =
   [
     "sim: 100 read/write effects";
     "sim: 100 read/write effects, 2 threads";
+    "sim: 100 effects, 16 threads, every call yields";
     "htm: one-write elided txn x100";
   ]
 

@@ -573,7 +573,11 @@ module Elision : STRATEGY = struct
              max_lock_wait the wait stops being free and the abort falls
              through to the budget path. *)
           let queued =
-            policy.wait_for_lock && code = Abort.Explicit Abort.xabort_lock_held
+            policy.wait_for_lock
+            &&
+            match code with
+            | Abort.Explicit c -> c = Abort.xabort_lock_held
+            | _ -> false
           in
           if queued && wait_unlocked () then begin
             Api.count Counter.retries 1;
@@ -649,7 +653,10 @@ let template_run ~policy ~on_abort ~lock ~software f =
              activity instead of the lock word. *)
           let queued =
             policy.wait_for_lock
-            && code = Abort.Explicit Abort.xabort_fallback_active
+            &&
+            match code with
+            | Abort.Explicit c -> c = Abort.xabort_fallback_active
+            | _ -> false
           in
           if
             queued

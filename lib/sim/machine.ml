@@ -80,7 +80,7 @@ let user_counter_names () =
   Hashtbl.fold (fun idx (_, name) acc -> (idx, name) :: acc)
     (Domain_ref.get user_counter_registry)
     []
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let user_counter_owner idx =
   Option.map fst (Hashtbl.find_opt (Domain_ref.get user_counter_registry) idx)
@@ -1094,47 +1094,31 @@ let schedule m bodies =
       true
     end
   in
+  (* Every scheduler turn is one [Sched.exchange]: the thread that stops
+     (yielded, preempted, or found stale) is re-queued at its current clock
+     and the minimum comes back in the same sift.  A thread whose key is
+     below every entry comes straight back with no heap traffic: that is
+     run-ahead, which collapses the single-threaded case (tree preloads,
+     run_single, the micro-benches) to straight-line execution.  The test
+     is exact: the thread is not in the heap, tids differ, and a stale
+     entry only under-estimates its thread's key, so a key below the root
+     is the unique (clock, tid) minimum, the thread a pop would pick. *)
   let rec loop () =
-    if not (Sched.is_empty m.sched) then begin
-      let packed = Sched.pop m.sched in
-      let tid = Sched.tid_of packed in
-      let t = m.threads.(tid) in
-      (match t.status with
-      | Running | Done | Failed _ -> assert false
-      | Start _ | Ready _ -> ());
-      if t.clock <> Sched.clock_of packed then begin
-        (* Stale entry: the thread was charged while parked. *)
-        Sched.push m.sched ~clock:t.clock ~tid;
-        loop ()
-      end
-      else dispatch t
-    end
-  and dispatch t =
-    if preempted t then begin
-      Sched.push m.sched ~clock:t.clock ~tid:t.tid;
-      loop ()
-    end
-    else step t
+    if not (Sched.is_empty m.sched) then pick (Sched.pop m.sched)
+  and requeue t =
+    pick (Sched.exchange m.sched (Sched.pack ~clock:t.clock ~tid:t.tid))
+  and pick packed =
+    let t = m.threads.(Sched.tid_of packed) in
+    (match t.status with
+    | Running | Done | Failed _ -> assert false
+    | Start _ | Ready _ -> ());
+    (* Stale entry: the thread was charged while parked. *)
+    if t.clock <> Sched.clock_of packed then requeue t else dispatch t
+  and dispatch t = if preempted t then requeue t else step t
   and step t =
     resume_once t;
     match t.status with
-    | Start _ | Ready _ ->
-        (* Run-ahead: keep executing this thread while it is still the
-           global minimum, with zero heap traffic.  The comparison against
-           [peek] is exact: the thread itself is not in the heap, tids
-           differ, and a stale peeked key only under-estimates its
-           thread's true key — so [key < peek] proves this thread is the
-           unique (clock, tid) minimum, the same pick the pop path would
-           make.  This collapses the single-threaded case (tree preloads,
-           run_single, the micro-benches) to straight-line execution. *)
-        if
-          Sched.is_empty m.sched
-          || Sched.pack ~clock:t.clock ~tid:t.tid < Sched.peek m.sched
-        then dispatch t
-        else begin
-          Sched.push m.sched ~clock:t.clock ~tid:t.tid;
-          loop ()
-        end
+    | Start _ | Ready _ -> requeue t
     | Done | Failed _ -> loop ()
     | Running -> assert false
   in

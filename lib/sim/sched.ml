@@ -30,12 +30,16 @@ let clear t = t.len <- 0
 let is_empty t = t.len = 0
 let length t = t.len
 
-let swap h i j =
+(* The heap functions are annotated [int array]: left polymorphic they
+   generalize to ['a array], and every key comparison becomes a C call to
+   [caml_lessthan] instead of one integer compare.
+   [scripts/check_mono_hot_path.sh] keeps it that way. *)
+let swap (h : int array) i j =
   let tmp = h.(i) in
   h.(i) <- h.(j);
   h.(j) <- tmp
 
-let rec sift_up h i =
+let rec sift_up (h : int array) i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
     if h.(i) < h.(parent) then begin
@@ -44,7 +48,7 @@ let rec sift_up h i =
     end
   end
 
-let rec sift_down h len i =
+let rec sift_down (h : int array) len i =
   let l = (2 * i) + 1 in
   if l < len then begin
     let smallest = if l + 1 < len && h.(l + 1) < h.(l) then l + 1 else l in
@@ -79,3 +83,16 @@ let pop t =
     sift_down t.heap t.len 0
   end;
   min
+
+(* Push [key] and pop the minimum in one sift: a key below every entry
+   (always the case on an empty heap) is its own minimum and comes straight
+   back; otherwise it replaces the root and sifts down.  Keys are unique,
+   so this pops exactly what [push] then [pop] would. *)
+let exchange t key =
+  if t.len = 0 || key < t.heap.(0) then key
+  else begin
+    let min = t.heap.(0) in
+    t.heap.(0) <- key;
+    sift_down t.heap t.len 0;
+    min
+  end

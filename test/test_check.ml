@@ -45,7 +45,7 @@ let test_spec_roundtrip () =
 
 (* A contended tree workload with the full trace captured as JSON lines
    (clocks included), for byte-identical comparisons. *)
-let traced_tree_run ?policy ~seed () =
+let traced_tree_run ?policy ~threads ~seed () =
   let w = fresh_world () in
   let kv =
     run_one w (fun () ->
@@ -56,7 +56,7 @@ let traced_tree_run ?policy ~seed () =
         kv)
   in
   let m =
-    Machine.create ~threads:4 ~seed ~cost:Cost.default ~mem:w.mem ~map:w.map
+    Machine.create ~threads ~seed ~cost:Cost.default ~mem:w.mem ~map:w.map
       ~alloc:w.alloc
   in
   (match policy with
@@ -84,10 +84,13 @@ let traced_tree_run ?policy ~seed () =
 (* Installing the Min_clock policy must be observationally identical to
    running with no explorer at all: the exploration scheduler's pick
    order, clock handling and sampling all have to agree with the default
-   path.  This is the guard that keeps golden traces byte-identical. *)
-let test_min_clock_parity () =
-  let a = traced_tree_run ~seed:42 () in
-  let b = traced_tree_run ~policy:Explore.Min_clock ~seed:42 () in
+   path.  This is the guard that keeps golden traces byte-identical.  The
+   explorer picks by a linear scan, so it is also an independent reference
+   for the run queue's pick order, stale entries included; at 16 threads
+   the heap is deep enough for multi-level sifts in [Sched.exchange]. *)
+let test_min_clock_parity threads () =
+  let a = traced_tree_run ~threads ~seed:42 () in
+  let b = traced_tree_run ~policy:Explore.Min_clock ~threads ~seed:42 () in
   check_int "min-clock parity: line count" (List.length a) (List.length b);
   List.iteri
     (fun i (x, y) ->
@@ -346,7 +349,9 @@ let suite =
   [
     Alcotest.test_case "spec descriptors round-trip" `Quick test_spec_roundtrip;
     Alcotest.test_case "min-clock policy is trace-identical to no explorer"
-      `Quick test_min_clock_parity;
+      `Quick (test_min_clock_parity 4);
+    Alcotest.test_case "min-clock policy is trace-identical at 16 threads"
+      `Quick (test_min_clock_parity 16);
     Alcotest.test_case "exploration preserves program order" `Quick
       test_program_order_preserved;
     Alcotest.test_case "same (policy, seed) replays the same Sev stream"

@@ -85,6 +85,51 @@ let test_sched_peek_does_not_remove () =
   check_int "still two entries" 2 (Sched.length s);
   check_int "pop agrees with peek" (Sched.pack ~clock:3 ~tid:8) (Sched.pop s)
 
+let test_sched_exchange_runs_ahead () =
+  (* A key below every entry is the minimum: it comes straight back and
+     the heap is untouched.  An empty heap returns any key. *)
+  let s = Sched.create ~capacity:4 in
+  let k = Sched.pack ~clock:4 ~tid:9 in
+  check_int "empty: key back" k (Sched.exchange s k);
+  check_int "empty: still empty" 0 (Sched.length s);
+  List.iter (fun (clock, tid) -> Sched.push s ~clock ~tid) [ (5, 1); (7, 2); (6, 0) ];
+  let below = Sched.pack ~clock:5 ~tid:0 in
+  check_int "below root: key back" below (Sched.exchange s below);
+  check_int "length unchanged" 3 (Sched.length s);
+  Alcotest.(check (list (pair int int)))
+    "heap untouched"
+    [ (5, 1); (6, 0); (7, 2) ]
+    (drain s)
+
+(* [exchange] must pop exactly what [push] then [pop] would, and leave a
+   heap that drains the same.  Tids are [i * 37 mod 63], distinct for the
+   at most 41 entries, with the new key's tid unused; clocks are drawn from
+   a small range so ties exercise the tid tie-break.  [pops] entries are
+   popped first so the exchange also meets heaps shaped by removals. *)
+let prop_sched_exchange =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"sched: exchange = push then pop"
+       QCheck.(
+         triple (list_of_size Gen.(0 -- 40) (int_bound 20)) (int_bound 25)
+           (int_bound 5))
+       (fun (clocks, clock, pops) ->
+         let tid i = i * 37 mod 63 in
+         let build () =
+           let s = Sched.create ~capacity:4 in
+           List.iteri (fun i clock -> Sched.push s ~clock ~tid:(tid i)) clocks;
+           for _ = 1 to min pops (Sched.length s) do
+             ignore (Sched.pop s)
+           done;
+           s
+         in
+         let key = Sched.pack ~clock ~tid:(tid (List.length clocks)) in
+         let a = build () in
+         let got = Sched.exchange a key in
+         let b = build () in
+         Sched.push b ~clock ~tid:(Sched.tid_of key);
+         let want = Sched.pop b in
+         got = want && drain a = drain b))
+
 (* ---------- Line_table ---------- *)
 
 let test_lt_untouched_lines () =
@@ -293,6 +338,9 @@ let suite =
     Alcotest.test_case "sched: grows and clears" `Quick test_sched_growth_and_clear;
     Alcotest.test_case "sched: empty pop/peek raise" `Quick test_sched_empty_raises;
     Alcotest.test_case "sched: peek does not remove" `Quick test_sched_peek_does_not_remove;
+    Alcotest.test_case "sched: exchange below root runs ahead" `Quick
+      test_sched_exchange_runs_ahead;
+    prop_sched_exchange;
     Alcotest.test_case "line table: untouched lines unowned" `Quick test_lt_untouched_lines;
     Alcotest.test_case "line table: reader bitmask" `Quick test_lt_readers;
     Alcotest.test_case "line table: writer and idempotent release" `Quick
