@@ -2,15 +2,19 @@
 
    1. Bechamel micro-benchmarks of the building blocks (host-side cost of
       the simulator and of each substrate's hot path), one Test.make per
-      component.
+      component, printed as a table.
    2. The full paper reproduction: every figure of the evaluation section
       and the Section 5.7 memory analysis, printed as tables
-      (Euno_harness.Figures).
+      (Euno_harness.Figures), with every run's "result" record written to
+      --json (default BENCH_results.json).
 
      dune exec bench/main.exe             # micro + all figures (~20 min)
      dune exec bench/main.exe -- --quick  # smoke-test scale
      dune exec bench/main.exe -- --micro-only
-     dune exec bench/main.exe -- --figures-only
+     dune exec bench/main.exe -- --figures-only [--domains N] [--json FILE]
+
+   Nothing here gates performance: the perf gate is
+   scripts/check_perf_counts.py over the perfbench/ workloads.
 *)
 
 open Bechamel
@@ -160,15 +164,13 @@ let micro_tests () =
              done)));
   ]
 
-(* Runs every micro-benchmark and returns [(name, host ns/call)] for the
-   machine-readable BENCH_results.json record stream. *)
+(* Runs every micro-benchmark and prints its host ns/call estimate. *)
 let run_micro () =
   print_endline "== Micro-benchmarks (host ns per simulated call) ==";
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
-  let estimates = ref [] in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in
@@ -181,154 +183,11 @@ let run_micro () =
       Hashtbl.iter
         (fun name result ->
           match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-36s %10.0f ns/call\n%!" name est;
-              estimates := (name, est) :: !estimates
+          | Some [ est ] -> Printf.printf "  %-36s %10.0f ns/call\n%!" name est
           | Some _ | None -> Printf.printf "  %-36s (no estimate)\n%!" name)
         ols)
     (micro_tests ());
-  print_newline ();
-  List.rev !estimates
-
-(* ---------- perf-regression probes ---------- *)
-
-(* Fixed-scale engine-throughput probes for the perf gate
-   (bin/euno_perf_check): simulated tree operations per host wall-second,
-   one probe per (tree, zipfian theta), plus the engine micro timings.
-   The scale is deliberately independent of --quick so every
-   BENCH_results.json is comparable against the committed
-   bench/baseline.json; wall time covers the whole run (world build,
-   preload, measurement), making the probe an end-to-end engine-cost
-   proxy rather than a paper metric. *)
-
-let perf_trees =
-  [
-    ("bptree-htm", Euno_harness.Kv.Htm_bptree);
-    ("euno", Euno_harness.Kv.Euno Eunomia.Config.default);
-    ("masstree", Euno_harness.Kv.Masstree);
-  ]
-
-let perf_thetas = [ 0.2; 0.8; 0.99 ]
-
-(* Micro timings that double as perf probes: the engine hot paths the
-   fast-path work targets, with the effect round trip measured on both
-   the in-place and the yielding path. *)
-let perf_micro_names =
-  [
-    "sim: 100 read/write effects";
-    "sim: 100 read/write effects, 2 threads";
-    "sim: 100 effects, 16 threads, every call yields";
-    "htm: one-write elided txn x100";
-  ]
-
-(* One probe: (name, strategy name, capacity-model name, ops/wall-sec). *)
-let perf_probe ~tname ~kind ~theta ~policy ~capacity ~name_fmt =
-  let workload =
-    {
-      Euno_harness.Runner.default_workload with
-      dist = Euno_workload.Dist.Zipfian theta;
-      key_space = 16_384;
-    }
-  in
-  let setup =
-    {
-      Euno_harness.Runner.default_setup with
-      threads = 4;
-      ops_per_thread = 5_000;
-      seed = 7;
-      cost = Euno_sim.Cost.with_capacity Euno_sim.Cost.default capacity;
-      policy;
-      check_after = false;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let r = Euno_harness.Runner.run kind workload setup in
-  let dt = Unix.gettimeofday () -. t0 in
-  let ops_per_sec = float_of_int r.Euno_harness.Runner.r_ops /. dt in
-  let name = name_fmt tname theta in
-  Printf.printf "  %-44s %12.0f ops/s\n%!" name ops_per_sec;
-  (name, r.Euno_harness.Runner.r_strategy, r.r_capacity_model, ops_per_sec)
-
-let run_perf () =
-  print_endline "== Perf probes (simulated ops per host wall-second) ==";
-  (* The historical grid: every tree x theta under the default policy
-     (elision) and nominal capacity, names unchanged so old baselines
-     stay comparable. *)
-  let default_grid =
-    List.concat_map
-      (fun (tname, kind) ->
-        List.map
-          (fun theta ->
-            perf_probe ~tname ~kind ~theta ~policy:None
-              ~capacity:Euno_sim.Cost.nominal
-              ~name_fmt:(Printf.sprintf "tree:%s:zipf-%.2f"))
-          perf_thetas)
-      perf_trees
-  in
-  (* The (strategy x capacity-model) sweep on the HTM-heaviest tree at
-     mid contention: one probe per combination, so a fallback-strategy or
-     capacity-model regression cannot hide behind the default cell. *)
-  let sweep_grid =
-    List.concat_map
-      (fun strategy ->
-        List.map
-          (fun (_, capacity) ->
-            perf_probe ~tname:"bptree-htm" ~kind:Euno_harness.Kv.Htm_bptree
-              ~theta:0.8
-              ~policy:(Some { Htm.default_policy with Htm.strategy })
-              ~capacity
-              ~name_fmt:(fun tname theta ->
-                Printf.sprintf "sweep:%s:zipf-%.2f:%s:%s" tname theta
-                  (Htm.strategy_name strategy)
-                  capacity.Euno_sim.Cost.cm_name))
-          Euno_sim.Cost.capacity_models)
-      Htm.all_strategies
-  in
-  print_newline ();
-  default_grid @ sweep_grid
-
-(* Campaign-runner probe: end-to-end host cost of a campaign cell (world
-   build, preload, run, merge) through the Pool executor's sequential
-   path, over a fixed 9-cell grid.  Guards the pool plumbing and the
-   domain-local state conversions (Sev, counters, collectors) against
-   host-side regressions that the per-op probes amortize away.  Fixed
-   scale, independent of --quick, like the other perf probes. *)
-let run_campaign_probe () =
-  let cells =
-    List.concat_map
-      (fun (_, kind) -> List.map (fun theta -> (kind, theta)) perf_thetas)
-      perf_trees
-  in
-  let workload theta =
-    {
-      Euno_harness.Runner.default_workload with
-      dist = Euno_workload.Dist.Zipfian theta;
-      key_space = 4_096;
-    }
-  in
-  let setup =
-    {
-      Euno_harness.Runner.default_setup with
-      threads = 4;
-      ops_per_thread = 1_000;
-      seed = 7;
-      check_after = false;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let rs =
-    Euno_harness.Pool.map ~domains:1
-      (fun (kind, theta) ->
-        (Euno_harness.Runner.run kind (workload theta) setup)
-          .Euno_harness.Runner.r_ops)
-      cells
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  ignore (List.fold_left ( + ) 0 rs);
-  let v = float_of_int (List.length cells) /. dt in
-  let name = "campaign:quick-grid" in
-  Printf.printf "  %-44s %12.2f cells/s\n\n%!" name v;
-  (name, "elision", "nominal", v)
+  print_newline ()
 
 (* ---------- figure reproduction ---------- *)
 
@@ -341,90 +200,79 @@ let run_figures ?domains scale =
     scale.Euno_harness.Figures.max_threads scale.Euno_harness.Figures.seed;
   Euno_harness.Figures.all ?domains scale
 
-(* ---------- machine-readable output ---------- *)
+(* ---------- command line ---------- *)
+
+type opts = {
+  quick : bool;
+  micro_only : bool;
+  figures_only : bool;
+  json : string;
+  domains : int option;
+}
+
+(* A bad argument is one line on stderr and exit 2, before any benchmark
+   starts: a typo such as --quik must not silently start the full-scale
+   run, nor a valueless --json or --domains fall back to its default. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench: " ^ m);
+      exit 2)
+    fmt
+
+let is_value v = not (String.starts_with ~prefix:"--" v)
+
+let rec parse o = function
+  | [] -> o
+  | "--quick" :: rest -> parse { o with quick = true } rest
+  | "--micro-only" :: rest -> parse { o with micro_only = true } rest
+  | "--figures-only" :: rest -> parse { o with figures_only = true } rest
+  | "--json" :: path :: rest when is_value path -> parse { o with json = path } rest
+  | "--domains" :: d :: rest when is_value d -> (
+      match int_of_string_opt d with
+      | Some d when d >= 1 -> parse { o with domains = Some d } rest
+      | _ -> usage_error "--domains must be a positive integer")
+  | (("--json" | "--domains") as flag) :: _ -> usage_error "%s needs a value" flag
+  | arg :: _ -> usage_error "unknown argument '%s'" arg
 
 module Report = Euno_harness.Report
 module Schema = Euno_harness.Schema
 
-let micro_record = Schema.encode Euno_harness.Perf_gate.micro
-
-let perf_record ~metric (name, strategy, capacity_model, value) =
-  Schema.encode Euno_harness.Perf_gate.record
-    {
-      Euno_harness.Perf_gate.p_name = name;
-      p_strategy = strategy;
-      p_capacity_model = capacity_model;
-      p_metric = metric;
-      p_value = value;
-    }
-
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let micro_only = Array.exists (( = ) "--micro-only") Sys.argv in
-  let figures_only = Array.exists (( = ) "--figures-only") Sys.argv in
-  let flag_value name =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let json_path =
-    Option.value (flag_value "--json") ~default:"BENCH_results.json"
-  in
-  (* Parallelizes the deterministic figures phase only; the wall-clock
-     micro/perf probes always run sequentially on the main domain. *)
-  let domains =
-    match flag_value "--domains" with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some d when d >= 1 -> Some d
-        | _ ->
-            prerr_endline "bench: --domains must be a positive integer";
-            exit 2)
+  let o =
+    parse
+      {
+        quick = false;
+        micro_only = false;
+        figures_only = false;
+        json = "BENCH_results.json";
+        domains = None;
+      }
+      (List.tl (Array.to_list Sys.argv))
   in
   (* Surface a malformed EUNO_DOMAINS as a usage error up front, not an
      uncaught exception from inside the figures phase. *)
-  (if domains = None then
+  (if Option.is_none o.domains then
      match Euno_harness.Pool.default_domains () with
      | _ -> ()
-     | exception Invalid_argument msg ->
-         prerr_endline ("bench: " ^ msg);
-         exit 2);
-  let scale =
-    if quick then Euno_harness.Figures.quick_scale
-    else Euno_harness.Figures.default_scale
-  in
-  let micro = if not figures_only then run_micro () else [] in
-  let perf =
-    if figures_only then []
-    else
-      List.map (perf_record ~metric:"sim_ops_per_wall_sec") (run_perf ())
-      @ [
-          perf_record ~metric:"campaign_cells_per_wall_sec"
-            (run_campaign_probe ());
-        ]
-      @ List.filter_map
-          (fun (n, ns) ->
-            if List.mem n perf_micro_names then
-              Some
-                (perf_record ~metric:"ns_per_call"
-                   ("micro:" ^ n, "elision", "nominal", ns))
-            else None)
-          micro
-  in
-  Report.start_collecting ();
-  if not micro_only then run_figures ?domains scale;
-  let records =
-    List.map micro_record micro
-    @ perf
-    @ List.mapi
+     | exception Invalid_argument msg -> usage_error "%s" msg);
+  if not o.figures_only then run_micro ();
+  if not o.micro_only then begin
+    let scale =
+      if o.quick then Euno_harness.Figures.quick_scale
+      else Euno_harness.Figures.default_scale
+    in
+    (* --domains parallelizes the deterministic figures phase only; the
+       micro-benchmarks always run sequentially on the main domain. *)
+    Report.start_collecting ();
+    run_figures ?domains:o.domains scale;
+    let records =
+      List.mapi
         (fun i r -> Report.result_to_json ~run:i r)
         (Report.collected ())
-  in
-  Report.stop_collecting ();
-  Schema.write_file json_path (Schema.document ~experiment:"bench" records);
-  Printf.printf "wrote %s (%d records, schema v%d)\n%!" json_path
-    (List.length records) Schema.schema_version
+    in
+    Report.stop_collecting ();
+    Schema.write_file o.json (Schema.document ~experiment:"bench" records);
+    Printf.printf "wrote %s (%d records, schema v%d)\n%!" o.json
+      (List.length records) Schema.schema_version
+  end

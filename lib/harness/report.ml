@@ -5,9 +5,9 @@
    Everything the ASCII tables print is derived from Runner.result; these
    records are the durable counterpart — the figure CLI and the bench
    driver write them so perf trajectories and figure shapes can be
-   diffed, gated and plotted instead of eyeballed.  The campaign drivers
-   own their kinds (Chaos, Dura_run, San_run, Check_run, Figures,
-   Perf_gate); Schema interprets every table. *)
+   diffed and plotted instead of eyeballed.  The campaign drivers
+   own their kinds (Chaos, Dura_run, San_run, Check_run, Figures);
+   Schema interprets every table. *)
 
 module Json = Euno_stats.Json
 open Schema
@@ -76,8 +76,6 @@ let validate_record obj =
       | "aggregate" -> validate aggregate obj
       | "chaos" -> validate Chaos.record obj
       | "recovery" -> validate Dura_run.record obj
-      | "perf" -> validate Perf_gate.record obj
-      | "micro" -> validate Perf_gate.micro obj
       | "san" -> validate San_run.record obj
       | "check" -> validate Check_run.record obj
       | "sweep" -> validate Figures.sweep_record obj

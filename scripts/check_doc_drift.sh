@@ -43,7 +43,6 @@ check_flags() {
 
 check_flags euno_repro "$BIN/euno_repro.exe" --help=plain
 check_flags euno_schema_check "$BIN/euno_schema_check.exe" --help
-check_flags euno_perf_check "$BIN/euno_perf_check.exe" --help
 check_flags euno_lint "$BIN/euno_lint.exe" --help
 
 # Every experiment euno_repro's EXPERIMENT enum accepts must appear in the

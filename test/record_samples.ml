@@ -224,14 +224,3 @@ let lint_finding =
     rule = "determinism";
     msg = "Hashtbl.hash on a polymorphic value";
   }
-
-let perf =
-  {
-    H.Perf_gate.p_name = "tree:htm-bptree:zipf-0.9";
-    p_strategy = "elision";
-    p_capacity_model = "nominal";
-    p_metric = "sim_ops_per_wall_sec";
-    p_value = 1_234_567.5;
-  }
-
-let micro = ("sched:pick", 42.25)

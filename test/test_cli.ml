@@ -1,17 +1,19 @@
-(* Usage errors of euno_repro: a bad --threads, --keys or --ops value is
-   rejected up front with one line on stderr and exit status 2, for every
+(* Usage errors of euno_repro and bench/main.exe: a bad --threads, --keys
+   or --ops value, an unknown flag or a flag missing its value is rejected
+   up front with one line on stderr and exit status 2, for every
    experiment that takes the flag, before any simulation starts. *)
 
 let euno_repro = Filename.concat ".." (Filename.concat "bin" "euno_repro.exe")
+let bench = Filename.concat ".." (Filename.concat "bench" "main.exe")
 
-(* Run euno_repro with [args]; return its exit status and stderr lines. *)
-let run args =
+(* Run [exe] with [args]; return its exit status and stderr lines. *)
+let run ?(exe = euno_repro) args =
   let err = Filename.temp_file "euno_cli" ".err" in
   Fun.protect
     ~finally:(fun () -> Sys.remove err)
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote euno_repro)
+        Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe)
           (String.concat " " (List.map Filename.quote args))
           (Filename.quote err)
       in
@@ -21,8 +23,8 @@ let run args =
       close_in ic;
       (code, List.filter (( <> ) "") (String.split_on_char '\n' text)))
 
-let usage_error args flag () =
-  let code, lines = run args in
+let usage_error ?exe args flag () =
+  let code, lines = run ?exe args in
   Alcotest.(check int) "exit status" 2 code;
   match lines with
   | [ line ] ->
@@ -32,7 +34,10 @@ let usage_error args flag () =
       Alcotest.failf "expected one stderr line, got %d:\n%s" (List.length lines)
         (String.concat "\n" lines)
 
-let case name args flag = Alcotest.test_case name `Quick (usage_error args flag)
+let case ?exe name args flag =
+  Alcotest.test_case name `Quick (usage_error ?exe args flag)
+
+let bench_case name args flag = case ~exe:bench ("bench " ^ name) args flag
 
 let suite =
   [
@@ -44,4 +49,8 @@ let suite =
     case "fig1 --ops 0" [ "fig1"; "--quick"; "--ops"; "0" ] "--ops";
     case "fig1 --capacity all" [ "fig1"; "--quick"; "--capacity"; "all" ] "--capacity";
     case "check --repro garbage" [ "check"; "--repro"; "garbage" ] "--repro";
+    bench_case "--quik" [ "--quik" ] "--quik";
+    bench_case "--json with no value" [ "--quick"; "--json" ] "--json";
+    bench_case "--domains with no value" [ "--domains"; "--quick" ] "--domains";
+    bench_case "--domains 0" [ "--quick"; "--domains"; "0" ] "--domains";
   ]

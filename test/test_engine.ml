@@ -1,6 +1,6 @@
 (* Unit tests of the fast-path engine structures: the packed-key scheduler
    heap, the flat line-ownership table, the reusable transaction arena's
-   versioned clear, and the perf-regression gate's comparison logic.  The
+   versioned clear, and the engine's allocation floor per call.  The
    end-to-end behavior of the machine built from these is covered by
    test_sim.ml and the determinism goldens; these tests pin down each
    structure's own contract, especially the reuse/clear paths a whole-run
@@ -11,7 +11,7 @@ module Sched = Euno_sim.Sched
 module Line_table = Euno_sim.Line_table
 module Txn = Euno_sim.Txn
 module Linemap = Euno_mem.Linemap
-module Gate = Euno_harness.Perf_gate
+module Htm = Euno_htm.Htm
 
 (* ---------- Sched ---------- *)
 
@@ -263,72 +263,83 @@ let test_txn_buffer_growth () =
   Alcotest.(check (pair int int)) "first write first" (0, 0)
     (List.hd (collect_writes txn))
 
-(* ---------- Perf_gate ---------- *)
+(* ---------- engine floor: minor words per call ---------- *)
 
-let probe name metric value =
-  {
-    Gate.p_name = name;
-    p_strategy = "elision";
-    p_capacity_model = "nominal";
-    p_metric = metric;
-    p_value = value;
-  }
+(* Minor words one call allocates on a pre-built world: a run making
+   [calls + 1] of them, net of the same run making one, per call.  Both
+   runs build the same machine and pay its first-use growth (the
+   transaction arena's buffers), so only the extra calls differ.
+   Allocation counts are deterministic, so each row is a ceiling rather
+   than a band; the ceilings are the dev-profile counts and hold in
+   release too.  One extra allocation per Api call breaks the
+   direct-path rows. *)
+let calls = 4_096
 
-let test_gate_directions () =
-  let baseline =
-    [ probe "micro:a" "ns_per_call" 100.0; probe "tree:b" "sim_ops_per_wall_sec" 1000.0 ]
+let words_per_call ~run call =
+  let words n =
+    let before = Gc.minor_words () in
+    run (fun () ->
+        for _ = 1 to n do
+          call ()
+        done);
+    Gc.minor_words () -. before
   in
-  let judge current =
-    List.map (fun c -> (c.Gate.c_name, c.Gate.c_ok))
-      (Gate.compare_probes ~band:1.5 ~baseline ~current)
-  in
-  Alcotest.(check (list (pair string bool)))
-    "within band both ways"
-    [ ("micro:a", true); ("tree:b", true) ]
-    (judge [ probe "micro:a" "ns_per_call" 140.0;
-             probe "tree:b" "sim_ops_per_wall_sec" 700.0 ]);
-  Alcotest.(check (list (pair string bool)))
-    "slower micro fails, faster passes"
-    [ ("micro:a", false); ("tree:b", true) ]
-    (judge [ probe "micro:a" "ns_per_call" 151.0;
-             probe "tree:b" "sim_ops_per_wall_sec" 5000.0 ]);
-  Alcotest.(check (list (pair string bool)))
-    "throughput collapse fails"
-    [ ("micro:a", true); ("tree:b", false) ]
-    (judge [ probe "micro:a" "ns_per_call" 10.0;
-             probe "tree:b" "sim_ops_per_wall_sec" 600.0 ])
+  let one = words 1 in
+  (words (calls + 1) -. one) /. float_of_int calls
 
-let test_gate_missing_and_new () =
-  let cs =
-    Gate.compare_probes ~band:3.0
-      ~baseline:[ probe "gone" "ns_per_call" 10.0 ]
-      ~current:[ probe "new" "ns_per_call" 10.0 ]
-  in
-  Alcotest.(check (list (pair string bool)))
-    "missing fails, new passes"
-    [ ("gone", false); ("new", true) ]
-    (List.map (fun c -> (c.Gate.c_name, c.Gate.c_ok)) cs);
-  check_bool "overall verdict" false (Gate.all_ok cs);
-  match Gate.compare_probes ~band:0.9 ~baseline:[] ~current:[] with
-  | _ -> Alcotest.fail "band < 1 should raise"
-  | exception Invalid_argument _ -> ()
+(* [threads]: how many threads make each call of [run]'s body *)
+let check_floor ?(threads = 1) name ~ceiling ~run call =
+  let got = words_per_call ~run call /. float_of_int threads in
+  if got > ceiling then
+    Alcotest.failf "%s: %.2f minor words per call, ceiling %.0f" name got ceiling
 
-let test_gate_document_roundtrip () =
-  let probes =
-    [ probe "micro:x" "ns_per_call" 42.5; probe "tree:y" "sim_ops_per_wall_sec" 9.0 ]
+let test_floor_direct () =
+  let w = fresh_world () in
+  let addr = scratch w ~words:8 in
+  let run body = run_one w body in
+  check_floor "direct read" ~ceiling:0.0 ~run (fun () -> ignore (Api.read addr));
+  check_floor "direct write" ~ceiling:6.0 ~run (fun () -> Api.write addr 1);
+  check_floor "work 1" ~ceiling:0.0 ~run (fun () -> Api.work 1)
+
+(* 16 threads at unit cost: each read leaves its thread behind the parked
+   ones, so every call yields and takes a scheduler turn. *)
+let test_floor_yield () =
+  let w = fresh_world () in
+  let addr = scratch w ~words:8 in
+  let threads = 16 in
+  let run body =
+    let m =
+      Machine.create ~threads ~seed:1 ~cost:Cost.unit_costs ~mem:w.mem
+        ~map:w.map ~alloc:w.alloc
+    in
+    Machine.run m (fun _ -> body ())
   in
-  let doc = Gate.baseline_document probes in
-  (match Euno_harness.Report.validate_document doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "baseline document invalid: %s" e);
-  let reparsed =
-    match Euno_stats.Json.of_string (Euno_stats.Json.to_string doc) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "reparse: %s" e
+  check_floor ~threads "yield on every call" ~ceiling:4.0 ~run (fun () ->
+      ignore (Api.read addr))
+
+(* Per transaction: a one-write elided transaction, and an eight-read one
+   under every capacity model, so each model's capacity path is covered. *)
+let test_floor_htm () =
+  let w = fresh_world () in
+  let lock = run_one w (fun () -> Htm.alloc_lock ()) in
+  let addr = scratch w ~words:64 in
+  (* transaction bodies built once, so the rows count no closure *)
+  let write1 () = Api.write addr 1 in
+  let read8 () =
+    for i = 0 to 7 do
+      ignore (Api.read (addr + (i * 8)))
+    done
   in
-  match Gate.probes_of_document reparsed with
-  | Error e -> Alcotest.failf "probes_of_document: %s" e
-  | Ok round -> check_bool "probes round-trip" true (round = probes)
+  check_floor "one-write Htm.atomic" ~ceiling:69.0
+    ~run:(fun body -> run_one w body)
+    (fun () -> Htm.atomic ~lock write1);
+  List.iter
+    (fun (name, capacity) ->
+      let cost = Cost.with_capacity Cost.unit_costs capacity in
+      check_floor ("8-read transaction, " ^ name) ~ceiling:63.0
+        ~run:(fun body -> run_one ~cost w body)
+        (fun () -> Htm.atomic ~lock read8))
+    Cost.capacity_models
 
 let suite =
   [
@@ -350,9 +361,9 @@ let suite =
     Alcotest.test_case "txn: O(1) reset leaks nothing" `Quick
       test_txn_reset_leaks_nothing;
     Alcotest.test_case "txn: write buffer growth" `Quick test_txn_buffer_growth;
-    Alcotest.test_case "perf gate: direction-aware bands" `Quick test_gate_directions;
-    Alcotest.test_case "perf gate: missing fails, new passes" `Quick
-      test_gate_missing_and_new;
-    Alcotest.test_case "perf gate: baseline document round-trips" `Quick
-      test_gate_document_roundtrip;
+    Alcotest.test_case "floor: direct read/write/work words per call" `Quick
+      test_floor_direct;
+    Alcotest.test_case "floor: yield words per call" `Quick test_floor_yield;
+    Alcotest.test_case "floor: transaction words per capacity model" `Quick
+      test_floor_htm;
   ]

@@ -36,8 +36,6 @@ let records () =
       Schema.encode H.Figures.sweep_record S.sweep;
       Schema.encode Report.lint (S.lint_finding, None);
       Schema.encode Report.lint (S.lint_finding, Some "host-only timing");
-      Schema.encode H.Perf_gate.record S.perf;
-      Schema.encode H.Perf_gate.micro S.micro;
     ]
 
 let read_lines path =
@@ -48,10 +46,7 @@ let read_lines path =
       String.split_on_char '\n' (really_input_string ic (in_channel_length ic)))
 
 let test_golden_bytes () =
-  let got =
-    List.map Json.to_string
-      (records () @ [ H.Perf_gate.baseline_document [ S.perf ] ])
-  in
+  let got = List.map Json.to_string (records ()) in
   let want = List.filter (( <> ) "") (read_lines "golden/records.jsonl") in
   Alcotest.(check int) "one golden line per record" (List.length want)
     (List.length got);
@@ -161,17 +156,24 @@ let test_cross_field_rules () =
   rejects_naming "reason"
     (with_field "suppressed" (Json.Bool false) (lint_rec (Some "why")))
 
-(* A bench "micro" record without schema_version is rejected like any
-   other kind. *)
-let test_micro_needs_version () =
-  rejects_naming "schema_version"
-    (Json.Obj
-       [
-         ("record", Json.Str "micro");
-         ("name", Json.Str "x");
-         ("ns_per_call", Json.Float 1.0);
-       ]);
-  validates (Schema.encode H.Perf_gate.micro ("x", 1.0))
+(* The bench driver's retired "perf" and "micro" kinds are rejected by
+   name, so an old document fails with an explained error. *)
+let test_retired_kinds_rejected () =
+  List.iter
+    (fun kind ->
+      match
+        Report.validate_record
+          (Json.Obj
+             [
+               ("schema_version", Json.Int Schema.schema_version);
+               ("record", Json.Str kind);
+               ("name", Json.Str "x");
+             ])
+      with
+      | Ok () -> Alcotest.failf "accepted a '%s' record" kind
+      | Error e ->
+          Alcotest.(check string) "error" (Printf.sprintf "unknown record type '%s'" kind) e)
+    [ "perf"; "micro" ]
 
 let suite =
   [
@@ -181,6 +183,6 @@ let suite =
     Alcotest.test_case "experiment/run optional" `Quick
       test_optional_header_fields;
     Alcotest.test_case "cross-field rules" `Quick test_cross_field_rules;
-    Alcotest.test_case "micro requires schema_version" `Quick
-      test_micro_needs_version;
+    Alcotest.test_case "retired perf/micro kinds rejected" `Quick
+      test_retired_kinds_rejected;
   ]
