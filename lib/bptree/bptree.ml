@@ -177,60 +177,79 @@ let delete t key =
 
 (* ---------- range scan ---------- *)
 
-let scan t ~from ~count =
+(* Fold [f] over up to [count] records with key >= [from], in key order,
+   along the leaf chain. *)
+let fold_range t ~from ~count ~init f =
   let lay = layout t in
   let rec collect leaf i n acc remaining =
-    if remaining = 0 || leaf = null then List.rev acc
+    if remaining = 0 || leaf = null then acc
     else if i >= n then
       let nxt = Api.read (L.next leaf) in
-      if nxt = null then List.rev acc
+      if nxt = null then acc
       else collect nxt 0 (Api.read (L.nkeys nxt)) acc remaining
     else begin
       let k = Api.read (L.record_key lay leaf i) in
       let v = Api.read (L.record_value lay leaf i) in
-      collect leaf (i + 1) n ((k, v) :: acc) (remaining - 1)
+      collect leaf (i + 1) n (f acc k v) (remaining - 1)
     end
   in
   let leaf = find_leaf t from in
   let n = Api.read (L.nkeys leaf) in
   let i = lower_bound t leaf n from in
-  collect leaf i n [] count
+  collect leaf i n init count
+
+let scan t ~from ~count =
+  List.rev (fold_range t ~from ~count ~init:[] (fun acc k v -> (k, v) :: acc))
 
 (* ---------- validation and inspection (tests) ---------- *)
 
-let to_list t =
+(* Every record in tree order, by a depth-first walk of the index (not the
+   leaf chain).  Each record's value is read before its key. *)
+let iter_records t f =
   let lay = layout t in
-  let acc = ref [] in
   Index.iter_leaves t.idx (root t) (fun leaf ->
       let n = Api.read (L.nkeys leaf) in
       for i = 0 to n - 1 do
-        acc := (Api.read (L.record_key lay leaf i), Api.read (L.record_value lay leaf i)) :: !acc
-      done);
+        let v = Api.read (L.record_value lay leaf i) in
+        f (Api.read (L.record_key lay leaf i)) v
+      done)
+
+let to_list t =
+  let acc = ref [] in
+  iter_records t (fun k v -> acc := (k, v) :: !acc);
   List.rev !acc
+
+let size t =
+  let n = ref 0 in
+  iter_records t (fun _ _ -> incr n);
+  !n
 
 exception Invariant = Index.Invariant
 
 let fail_inv fmt = Printf.ksprintf (fun s -> raise (Invariant s)) fmt
 
-(* Structural invariants: the shared index checks plus a leaf-fanout bound
-   and a sorted, complete leaf chain. *)
+(* Structural invariants: the shared index checks plus a leaf-fanout bound,
+   then an ascending tree order and a leaf chain reaching every record.
+   Three streaming walks: the index check, the tree order, the chain. *)
 let check_invariants t =
   let lay = layout t in
-  let leaf_keys leaf =
-    let n = Api.read (L.nkeys leaf) in
-    if n > lay.L.fanout then fail_inv "leaf %d: overfull" leaf;
-    List.init n (fun i -> Api.read (L.record_key lay leaf i))
+  Index.check_structure t.idx ~leaf_keys:(fun leaf visit ->
+      let n = Api.read (L.nkeys leaf) in
+      if n > lay.L.fanout then fail_inv "leaf %d: overfull" leaf;
+      for i = 0 to n - 1 do
+        visit (Api.read (L.record_key lay leaf i))
+      done);
+  let records = ref 0 and prev = ref 0 and ordered = ref true in
+  iter_records t (fun k _ ->
+      if !records > 0 && k < !prev then ordered := false;
+      prev := k;
+      incr records);
+  if not !ordered then fail_inv "leaf chain out of order";
+  let chained =
+    fold_range t ~from:min_int ~count:max_int ~init:0 (fun n _ _ -> n + 1)
   in
-  Index.check_structure t.idx ~leaf_keys;
-  let keys = List.map fst (to_list t) in
-  let sorted = List.sort compare keys in
-  if keys <> sorted then fail_inv "leaf chain out of order";
-  let chained = scan t ~from:min_int ~count:max_int in
-  if List.length chained <> List.length keys then
-    fail_inv "leaf chain misses records (%d vs %d)" (List.length chained)
-      (List.length keys)
-
-let size t = List.length (to_list t)
+  if chained <> !records then
+    fail_inv "leaf chain misses records (%d vs %d)" chained !records
 
 (* Structural statistics (single-threaded inspection). *)
 type tree_stats = {

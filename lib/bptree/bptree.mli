@@ -44,6 +44,7 @@ val to_list : t -> (int * int) list
 (** All records in key order (test helper; walks the whole tree). *)
 
 val size : t -> int
+(** Record count: {!to_list}'s walk and simulated reads, without the list. *)
 
 (** Structural statistics (single-threaded inspection). *)
 type tree_stats = {
@@ -59,4 +60,12 @@ val stats : t -> tree_stats
 val check_invariants : t -> unit
 (** Raise {!Invariant} if any structural invariant is violated: per-node
     sortedness, separator bounds, parent pointers, uniform leaf depth,
-    fanout bounds, complete and ordered leaf chain. *)
+    fanout bounds, complete and ordered leaf chain.
+
+    {b Cost:} three walks, each one pass: the index check, the tree order
+    and the leaf chain.  None allocates per node or record.
+
+    {b Determinism:} the {!Euno_sim.Api} calls are a fixed sequence for a
+    given tree, and a failing check raises after a fixed prefix of it.
+    Chaos checkpoints and crash recovery run this check inside measured
+    machines, so its reads are simulated time. *)

@@ -253,63 +253,98 @@ exception Invariant of string
 
 let fail_inv fmt = Printf.ksprintf (fun s -> raise (Invariant s)) fmt
 
+(* The leaf under validation: its separator bounds ([lo] = min_int when
+   unbounded below, since no key is below it), the previous key, and its
+   first violation.  A leaf's violation is raised once [leaf_keys] has
+   made all of the leaf's reads, so a failing check stops after the same
+   reads whatever the position of the bad key. *)
+type leaf_fault = Clean | Unsorted | Below | Above
+
+type leaf_state = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable has_hi : bool;
+  mutable seen : int; (* keys visited so far *)
+  mutable prev : int;
+  mutable fault : leaf_fault;
+  mutable fault_key : int; (* the key out of bounds *)
+}
+
 (* Check the shared structure: internal sortedness, separator bounds,
-   parent pointers, uniform leaf depth.  [leaf_keys] returns a leaf's keys
-   in ascending order (each variant knows its own leaf layout). *)
+   parent pointers, uniform leaf depth.  [leaf_keys leaf visit] calls
+   [visit] on a leaf's keys in ascending order (each variant knows its own
+   leaf layout).  One pass, no allocation per node or key. *)
 let check_structure t ~leaf_keys =
   let f = t.layout.L.fanout in
-  let leaf_depths = ref [] in
-  let check_bounds node k ~lo ~hi =
-    (match lo with
-    | Some l when k < l -> fail_inv "node %d: key %d below bound %d" node k l
-    | Some _ | None -> ());
-    match hi with
-    | Some h when k >= h -> fail_inv "node %d: key %d above bound %d" node k h
-    | Some _ | None -> ()
+  let st =
+    {
+      lo = min_int;
+      hi = 0;
+      has_hi = false;
+      seen = 0;
+      prev = 0;
+      fault = Clean;
+      fault_key = 0;
+    }
   in
-  let rec walk node ~lo ~hi ~d ~parent =
+  let visit k =
+    (match st.fault with
+    | Clean ->
+        if st.seen > 0 && k <= st.prev then st.fault <- Unsorted
+        else if k < st.lo then begin
+          st.fault <- Below;
+          st.fault_key <- k
+        end
+        else if st.has_hi && k >= st.hi then begin
+          st.fault <- Above;
+          st.fault_key <- k
+        end
+    | Unsorted | Below | Above -> ());
+    st.seen <- st.seen + 1;
+    st.prev <- k
+  in
+  let leaf_depth = ref 0 (* 0 until the first leaf *) and mixed = ref false in
+  let rec walk node ~lo ~hi ~has_hi ~d ~parent =
     if Api.read (L.parent node) <> parent then
       fail_inv "node %d: bad parent pointer" node;
     if Api.read (L.tag node) = L.tag_leaf then begin
-      leaf_depths := d :: !leaf_depths;
-      let prev = ref None in
-      List.iter
-        (fun k ->
-          (match !prev with
-          | Some p when k <= p -> fail_inv "leaf %d: keys not sorted" node
-          | Some _ | None -> ());
-          check_bounds node k ~lo ~hi;
-          prev := Some k)
-        (leaf_keys node)
+      if !leaf_depth = 0 then leaf_depth := d
+      else if d <> !leaf_depth then mixed := true;
+      st.lo <- lo;
+      st.hi <- hi;
+      st.has_hi <- has_hi;
+      st.seen <- 0;
+      st.fault <- Clean;
+      leaf_keys node visit;
+      match st.fault with
+      | Clean -> ()
+      | Unsorted -> fail_inv "leaf %d: keys not sorted" node
+      | Below -> fail_inv "node %d: key %d below bound %d" node st.fault_key lo
+      | Above -> fail_inv "node %d: key %d above bound %d" node st.fault_key hi
     end
     else begin
       let n = Api.read (L.nkeys node) in
       if n < 1 then fail_inv "internal %d: no keys" node;
       if n > f then fail_inv "internal %d: overfull (%d > %d)" node n f;
-      let prev = ref None in
+      let prev = ref 0 in
       for i = 0 to n - 1 do
         let k = Api.read (L.key t.layout node i) in
-        (match !prev with
-        | Some p when k <= p -> fail_inv "internal %d: keys not sorted" node
-        | Some _ | None -> ());
-        check_bounds node k ~lo ~hi;
-        prev := Some k
+        if i > 0 && k <= !prev then fail_inv "internal %d: keys not sorted" node;
+        if k < lo then fail_inv "node %d: key %d below bound %d" node k lo;
+        if has_hi && k >= hi then
+          fail_inv "node %d: key %d above bound %d" node k hi;
+        prev := k
       done;
       for i = 0 to n do
-        let lo' =
-          if i = 0 then lo else Some (Api.read (L.key t.layout node (i - 1)))
-        in
-        let hi' = if i = n then hi else Some (Api.read (L.key t.layout node i)) in
-        walk (Api.read (L.child t.layout node i)) ~lo:lo' ~hi:hi' ~d:(d + 1)
-          ~parent:node
+        let lo' = if i = 0 then lo else Api.read (L.key t.layout node (i - 1)) in
+        let hi' = if i = n then hi else Api.read (L.key t.layout node i) in
+        walk (Api.read (L.child t.layout node i)) ~lo:lo' ~hi:hi'
+          ~has_hi:(has_hi || i < n) ~d:(d + 1) ~parent:node
       done
     end
   in
-  walk (root t) ~lo:None ~hi:None ~d:1 ~parent:null;
-  match !leaf_depths with
-  | [] -> fail_inv "no leaves"
-  | d0 :: rest ->
-      if not (List.for_all (fun d -> d = d0) rest) then
-        fail_inv "leaves at different depths";
-      if d0 <> depth t then
-        fail_inv "meta depth %d but leaves at %d" (depth t) d0
+  walk (root t) ~lo:min_int ~hi:0 ~has_hi:false ~d:1 ~parent:null;
+  if !leaf_depth = 0 then fail_inv "no leaves";
+  if !mixed then fail_inv "leaves at different depths";
+  let d0 = !leaf_depth in
+  if d0 <> depth t then fail_inv "meta depth %d but leaves at %d" (depth t) d0

@@ -65,7 +65,14 @@ val count_internals : t -> int -> int
 
 exception Invariant of string
 
-val check_structure : t -> leaf_keys:(int -> int list) -> unit
+val check_structure : t -> leaf_keys:(int -> (int -> unit) -> unit) -> unit
 (** Validate the shared structure (internal sortedness, separator bounds,
     parent pointers, uniform leaf depth); raises {!Invariant} on violation.
-    [leaf_keys] must return a leaf's keys in ascending order. *)
+    [leaf_keys leaf visit] must call [visit] on the leaf's keys in
+    ascending order; it may raise {!Invariant} itself.
+
+    {b Cost:} one depth-first pass, allocating nothing per node or key.
+    A bad leaf key is reported once [leaf_keys] returns, so the {!Api}
+    calls a failing check makes are a fixed prefix of a passing one's:
+    this pass runs inside measured simulations (chaos checkpoints, crash
+    recovery), where every read is simulated time. *)

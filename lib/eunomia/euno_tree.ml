@@ -176,8 +176,8 @@ type lower =
   | L_updated
   | L_inserted
   | L_deleted of bool
-  | L_scan of (int * int) list * int * int
-    (* records of one leaf, next-leaf pointer, next-leaf seqno *)
+  | L_scan of int * int
+    (* one leaf gathered: next-leaf pointer, next-leaf seqno *)
 
 (* ---------- upper region (Algorithm 2, lines 23-28) ---------- *)
 
@@ -228,8 +228,9 @@ let any_nonfull t leaf =
 let split_and_insert t leaf key value =
   let s = t.shape in
   Api.count Counter.splits 1;
-  let sorted = Leaf.gather s leaf in
-  let n = List.length sorted in
+  let sorted = Leaf.records s in
+  Leaf.gather_into s leaf sorted;
+  let n = sorted.Leaf.n in
   let stash = Leaf.stash_reserved sorted in
   let buf, _ = stash in
   let right = Leaf.alloc s in
@@ -250,9 +251,7 @@ let split_and_insert t leaf key value =
        mark bits can be written exactly, in-transaction, without conflicting
        with anyone's CCM traffic.  The pending insert is included when it
        lands in the sibling (the pre-region set_mark hit the old CCM). *)
-    let right_keys =
-      List.filteri (fun j _ -> j >= mid) sorted |> List.map fst
-    in
+    let right_keys = List.init (n - mid) (fun j -> sorted.Leaf.keys.(mid + j)) in
     let right_keys = if target == right then key :: right_keys else right_keys in
     let cr = Leaf.ccm s right in
     Ccm.write_marks cr (Leaf.marks_word_for cr right_keys)
@@ -561,82 +560,98 @@ let maintain ?(max_merges = max_int) t =
 
 (* ---------- range query (Section 4.2.4) ---------- *)
 
-(* Hand-over-hand over the leaf chain: lock each leaf's advisory lock,
-   gather its records atomically in a lower region (staging them through a
-   transient reserved buffer, as the paper's scans do), validate the seqno
-   obtained from the previous hop, and carry (next leaf, next seqno)
-   forward.  A failed validation restarts from the root at the first
-   still-missing key. *)
-let scan t ~from ~count =
+(* Hand-over-hand over the leaf chain, calling [emit k v] on up to [count]
+   records with key >= [from] in key order: lock each leaf's advisory
+   lock, gather its records atomically in a lower region (staging them
+   through a transient reserved buffer, as the paper's scans do), validate
+   the seqno obtained from the previous hop, and carry (next leaf, next
+   seqno) forward.  A failed validation restarts from the root after the
+   last emitted key.  One records buffer serves every hop. *)
+let iter_range t ~from ~count emit =
   Api.op_key from;
   let s = t.shape in
+  let r = Leaf.records s in
   with_epoch t @@ fun () ->
-  let rec restart from acc remaining =
-    if remaining <= 0 then List.rev acc
-    else begin
+  let emitted = ref false and last = ref 0 in
+  let rec restart from remaining =
+    if remaining > 0 then begin
       let leaf, seq = upper t from in
-      walk leaf seq from acc remaining
+      walk leaf seq from remaining
     end
-  and walk leaf seq from acc remaining =
+  and walk leaf seq from remaining =
     Spinlock.acquire (Leaf.split_lock_addr leaf);
-    let r =
+    let res =
       match
         Htm.atomic ~policy:t.cfg.Config.policy ~lock:t.lock (fun () ->
             if Api.read (Leaf.seqno_addr leaf) <> seq then L_stale
             else begin
-              let sorted = Leaf.gather s leaf in
-              let stash = Leaf.stash_reserved sorted in
-              Leaf.free_reserved stash;
+              Leaf.gather_into s leaf r;
+              Leaf.free_reserved (Leaf.stash_reserved r);
               let nxt = Api.read (Leaf.next_addr leaf) in
               let nseq =
                 if nxt = 0 then 0 else Api.read (Leaf.seqno_addr nxt)
               in
-              L_scan (sorted, nxt, nseq)
+              L_scan (nxt, nseq)
             end)
       with
-      | r -> r
+      | res -> res
       | exception e ->
           (* never leak the advisory lock on a failed hop *)
           Spinlock.release (Leaf.split_lock_addr leaf);
           raise e
     in
     Spinlock.release (Leaf.split_lock_addr leaf);
-    match r with
+    match res with
     | L_stale ->
         Api.count Counter.consistency_retries 1;
-        (* Resume after the last collected key: a mid-chain restart from
+        (* Resume after the last emitted key: a mid-chain restart from
            the original key would re-collect earlier leaves. *)
-        let resume_from =
-          match acc with (k, _) :: _ -> k + 1 | [] -> from
-        in
-        restart resume_from acc remaining
-    | L_scan (sorted, nxt, nseq) ->
-        let eligible = List.filter (fun (k, _) -> k >= from) sorted in
-        let rec take acc remaining = function
-          | [] -> (acc, remaining, None)
-          | kv :: rest ->
-              if remaining = 0 then (acc, 0, Some kv)
-              else take (kv :: acc) (remaining - 1) rest
-        in
-        let acc, remaining, _ = take acc remaining eligible in
-        if remaining = 0 || nxt = 0 then List.rev acc
-        else walk nxt nseq from acc remaining
+        restart (if !emitted then !last + 1 else from) remaining
+    | L_scan (nxt, nseq) ->
+        let remaining = ref remaining in
+        for j = 0 to r.Leaf.n - 1 do
+          let k = r.Leaf.keys.(j) in
+          if k >= from && !remaining > 0 then begin
+            emit k r.Leaf.vals.(j);
+            emitted := true;
+            last := k;
+            decr remaining
+          end
+        done;
+        if !remaining > 0 && nxt <> 0 then walk nxt nseq from !remaining
     | L_need_lock | L_got _ | L_updated | L_inserted | L_deleted _ ->
         assert false
   in
-  restart from [] count
+  restart from count
+
+let scan t ~from ~count =
+  let acc = ref [] in
+  iter_range t ~from ~count (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
 
 (* ---------- inspection (tests and tools) ---------- *)
 
-let leaf_keys_sorted t leaf = List.map fst (Leaf.gather t.shape leaf)
+let find_leaf t key = Index.find_leaf t.idx key
+
+(* Every leaf gathered into [r] in tree order, by a depth-first walk of
+   the index (not the leaf chain). *)
+let iter_leaf_records t r f =
+  Index.iter_leaves t.idx (Index.root t.idx) (fun leaf ->
+      Leaf.gather_into t.shape leaf r;
+      f r)
 
 let to_list t =
-  let chunks = ref [] in
-  Index.iter_leaves t.idx (Index.root t.idx) (fun leaf ->
-      chunks := Leaf.gather t.shape leaf :: !chunks);
-  List.concat (List.rev !chunks)
+  let acc = ref [] in
+  iter_leaf_records t (Leaf.records t.shape) (fun r ->
+      for j = 0 to r.Leaf.n - 1 do
+        acc := (r.Leaf.keys.(j), r.Leaf.vals.(j)) :: !acc
+      done);
+  List.rev !acc
 
-let size t = List.length (to_list t)
+let size t =
+  let n = ref 0 in
+  iter_leaf_records t (Leaf.records t.shape) (fun r -> n := !n + r.Leaf.n);
+  !n
 
 (* Structural statistics (single-threaded inspection). *)
 type tree_stats = {
@@ -725,29 +740,39 @@ exception Invariant = Index.Invariant
 
 let fail_inv fmt = Printf.ksprintf (fun s -> raise (Invariant s)) fmt
 
+(* Mark coverage probes a leaf's keys in the iteration order of a
+   [Hashtbl.create 16] holding them: bucket by bucket, newest first.  That
+   order is part of the checker's fixed Api sequence: it decides which key
+   a failure names and how many mark reads come before it.  Marks need
+   [2 * capacity <= Ccm.max_slots], so such a table never holds the 33
+   keys that would make it resize. *)
+let mark_buckets = 16
+
 let check_invariants t =
-  let s = t.shape in
-  Index.check_structure t.idx ~leaf_keys:(fun leaf ->
+  let s = t.shape and cfg = t.cfg in
+  let r = Leaf.records s in
+  (* the keys of the leaf under check, in read order: the count checks
+     bound them by the capacity *)
+  let seen = Array.make (Config.capacity cfg) 0 in
+  let records = ref 0 in
+  Index.check_structure t.idx ~leaf_keys:(fun leaf visit ->
       (* Per-leaf checks: segment counts in range, keys sorted within each
          segment, no duplicate keys across segments, mark bits cover every
          live key. *)
-      let cfg = t.cfg in
-      let seen = Hashtbl.create 16 in
+      let n = ref 0 in
       for i = 0 to cfg.Config.nsegs - 1 do
         let c = Leaf.seg_count s leaf i in
         if c < 0 || c > cfg.Config.seg_slots then
           fail_inv "leaf %d seg %d: bad count %d" leaf i c;
-        let prev = ref None in
         for j = 0 to c - 1 do
           let k = Api.read (Leaf.seg_key_addr s leaf i j) in
-          (match !prev with
-          | Some p when k <= p ->
-              fail_inv "leaf %d seg %d: keys not sorted" leaf i
-          | Some _ | None -> ());
-          if Hashtbl.mem seen k then
-            fail_inv "leaf %d: duplicate key %d" leaf k;
-          Hashtbl.add seen k ();
-          prev := Some k
+          if j > 0 && k <= seen.(!n - 1) then
+            fail_inv "leaf %d seg %d: keys not sorted" leaf i;
+          for p = 0 to !n - 1 do
+            if seen.(p) = k then fail_inv "leaf %d: duplicate key %d" leaf k
+          done;
+          seen.(!n) <- k;
+          incr n
         done
       done;
       (* Mark coverage is an invariant only where the fast path may trust
@@ -759,13 +784,28 @@ let check_invariants t =
         && ((not cfg.Config.adaptive) || Ccm.mode c = Ccm.mode_ready)
       in
       if marks_trusted then
-        Hashtbl.iter
-          (fun k () ->
-            if not (Ccm.marked c (Ccm.hash c k)) then
-              fail_inv "leaf %d: live key %d not marked" leaf k)
-          seen;
-      leaf_keys_sorted t leaf);
-  (* The leaf chain must enumerate the same records in order. *)
-  let keys = List.map fst (to_list t) in
-  let chained = List.map fst (scan t ~from:min_int ~count:max_int) in
-  if keys <> chained then fail_inv "leaf chain disagrees with tree order"
+        for b = 0 to mark_buckets - 1 do
+          for p = !n - 1 downto 0 do
+            let k = seen.(p) in
+            if Hashtbl.hash k land (mark_buckets - 1) = b
+               && not (Ccm.marked c (Ccm.hash c k))
+            then fail_inv "leaf %d: live key %d not marked" leaf k
+          done
+        done;
+      Leaf.gather_into s leaf r;
+      records := !records + r.Leaf.n;
+      for j = 0 to r.Leaf.n - 1 do
+        visit r.Leaf.keys.(j)
+      done);
+  (* The leaf chain must enumerate the same records in order: tree order
+     into one flat array, then the chain compared against it. *)
+  let order = Array.make !records 0 and len = ref 0 in
+  iter_leaf_records t r (fun r ->
+      Array.blit r.Leaf.keys 0 order !len r.Leaf.n;
+      len := !len + r.Leaf.n);
+  let pos = ref 0 and agree = ref true in
+  iter_range t ~from:min_int ~count:max_int (fun k _ ->
+      if !pos >= !len || order.(!pos) <> k then agree := false;
+      incr pos);
+  if not (!agree && !pos = !len) then
+    fail_inv "leaf chain disagrees with tree order"

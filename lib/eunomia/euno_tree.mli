@@ -101,6 +101,10 @@ val to_list : t -> (int * int) list
 (** All records in key order (single-threaded inspection). *)
 
 val size : t -> int
+(** Record count: {!to_list}'s walk and simulated reads, without the list. *)
+
+val find_leaf : t -> int -> int
+(** Leaf covering a key, by a plain root-to-leaf walk (tests). *)
 
 (** Structural statistics (single-threaded inspection). *)
 type tree_stats = {
@@ -127,4 +131,15 @@ exception Invariant of string
 val check_invariants : t -> unit
 (** Structural validation: shared index invariants, per-segment sortedness
     and counts, no duplicate keys, mark-bit coverage of live keys, and
-    leaf-chain/tree-order agreement. *)
+    leaf-chain/tree-order agreement.
+
+    {b Cost:} three walks, each one pass: the index check, the tree order
+    and the leaf chain (a full-range {!scan}).  Per record they allocate
+    nothing: leaves are gathered into one reused buffer and the tree
+    order into one flat array the chain is compared against.  Each chain
+    hop runs one {!Euno_htm.Htm.atomic}, whose own allocation is per leaf.
+
+    {b Determinism:} the {!Euno_sim.Api} calls are a fixed sequence for a
+    given tree, and a failing check raises after a fixed prefix of it.
+    Chaos checkpoints and crash recovery run this check inside measured
+    machines, so its reads are simulated time. *)

@@ -191,34 +191,59 @@ let remove_at s leaf (i, j) =
 
 (* ---------- gathering and reorganization ---------- *)
 
-(* All live records of the leaf, sorted by key.  The merge of the
-   already-sorted segments is charged as simulated work. *)
-let gather s leaf =
-  let acc = ref [] in
+(* A host-side buffer for one leaf's records, sorted by key: reused
+   across the leaves of a walk so gathering allocates nothing per leaf.
+   Segment counts never exceed [seg_slots], so the capacity bounds [n]. *)
+type records = { keys : int array; vals : int array; mutable n : int }
+
+let records s =
+  let cap = Config.capacity s.cfg in
+  { keys = Array.make cap 0; vals = Array.make cap 0; n = 0 }
+
+(* All live records of the leaf into [r], sorted by key: segments in
+   order, each record's value read before its key.  The merge of the
+   already-sorted segments is charged as simulated work.  Equal keys (only
+   in a corrupted leaf) end up last-read first. *)
+let gather_into s leaf r =
+  r.n <- 0;
   for i = 0 to s.cfg.Config.nsegs - 1 do
     let c = seg_count s leaf i in
     for j = 0 to c - 1 do
-      acc :=
-        (Api.read (seg_key_addr s leaf i j), Api.read (seg_value_addr s leaf i j))
-        :: !acc
+      let v = Api.read (seg_value_addr s leaf i j) in
+      r.keys.(r.n) <- Api.read (seg_key_addr s leaf i j);
+      r.vals.(r.n) <- v;
+      r.n <- r.n + 1
     done
   done;
-  let n = List.length !acc in
-  Api.work (4 * n);
-  List.sort (fun (a, _) (b, _) -> compare a b) !acc
+  Api.work (4 * r.n);
+  let keys = r.keys and vals = r.vals in
+  for i = 1 to r.n - 1 do
+    let k = keys.(i) and v = vals.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && keys.(!j) >= k do
+      keys.(!j + 1) <- keys.(!j);
+      vals.(!j + 1) <- vals.(!j);
+      decr j
+    done;
+    keys.(!j + 1) <- k;
+    vals.(!j + 1) <- v
+  done
+
+let gather s leaf =
+  let r = records s in
+  gather_into s leaf r;
+  List.init r.n (fun j -> (r.keys.(j), r.vals.(j)))
 
 (* Stash sorted records into a freshly allocated transient reserved-keys
    buffer: pairs of words [k, v].  The caller frees it (inside an HTM
    region the free is deferred to commit, so aborts roll it back). *)
-let stash_reserved sorted =
-  let n = List.length sorted in
-  let words = max 1 (2 * n) in
+let stash_reserved r =
+  let words = max 1 (2 * r.n) in
   let buf = Api.alloc ~kind:Linemap.Reserved ~words in
-  List.iteri
-    (fun j (k, v) ->
-      Api.write (buf + (2 * j)) k;
-      Api.write (buf + (2 * j) + 1) v)
-    sorted;
+  for j = 0 to r.n - 1 do
+    Api.write (buf + (2 * j)) r.keys.(j);
+    Api.write (buf + (2 * j) + 1) r.vals.(j)
+  done;
   (buf, words)
 
 let free_reserved (buf, words) =
@@ -265,11 +290,12 @@ let fill_round_robin s leaf records =
    reserved buffer, clear the segments, redistribute evenly.  After this,
    any segment has room iff total < capacity. *)
 let compact s leaf =
-  let sorted = gather s leaf in
-  let stash = stash_reserved sorted in
+  let r = records s in
+  gather_into s leaf r;
+  let stash = stash_reserved r in
   let buf, _ = stash in
   clear_segs s leaf;
-  redistribute_from s leaf buf ~lo:0 ~n:(List.length sorted);
+  redistribute_from s leaf buf ~lo:0 ~n:r.n;
   free_reserved stash
 
 (* Mark-bits word covering [keys] for a leaf's CCM. *)

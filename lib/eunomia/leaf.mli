@@ -65,11 +65,22 @@ val remove_at : shape -> int -> int * int -> unit
 
 (** {2 Reorganization} *)
 
-val gather : shape -> int -> (int * int) list
-(** All live records sorted by key (merge cost charged as work). *)
+(** A reusable host-side buffer for one leaf's records: [keys.(j)],
+    [vals.(j)] for [j < n], at most the leaf capacity. *)
+type records = { keys : int array; vals : int array; mutable n : int }
 
-val stash_reserved : (int * int) list -> int * int
-(** Write sorted records into a fresh transient reserved-keys buffer;
+val records : shape -> records
+(** An empty buffer sized to the leaf capacity. *)
+
+val gather_into : shape -> int -> records -> unit
+(** Overwrite the buffer with all live records sorted by key (merge cost
+    charged as work).  Allocation-free once the buffer is sized. *)
+
+val gather : shape -> int -> (int * int) list
+(** {!gather_into} as a list: the same simulated reads and work. *)
+
+val stash_reserved : records -> int * int
+(** Write gathered records into a fresh transient reserved-keys buffer;
     returns (address, words) for {!free_reserved}. *)
 
 val free_reserved : int * int -> unit

@@ -521,29 +521,46 @@ let scan t ~from ~count =
 
 (* ---------- inspection (tests) ---------- *)
 
-let to_list t =
+(* Every record in tree order, by a depth-first walk of the index.  Each
+   record's value is read before its key. *)
+let iter_records t f =
   let lay = layout t in
-  let acc = ref [] in
   Index.iter_leaves t.idx (Index.root t.idx) (fun leaf ->
       let n = Api.read (L.nkeys leaf) in
       for i = 0 to n - 1 do
-        acc := (Api.read (L.record_key lay leaf i), Api.read (L.record_value lay leaf i)) :: !acc
-      done);
+        let v = Api.read (L.record_value lay leaf i) in
+        f (Api.read (L.record_key lay leaf i)) v
+      done)
+
+let to_list t =
+  let acc = ref [] in
+  iter_records t (fun k v -> acc := (k, v) :: !acc);
   List.rev !acc
 
-let size t = List.length (to_list t)
+let size t =
+  let n = ref 0 in
+  iter_records t (fun _ _ -> incr n);
+  !n
 
 exception Invariant = Index.Invariant
 
+let fail_inv fmt = Printf.ksprintf (fun s -> raise (Invariant s)) fmt
+
+(* The shared index checks plus per-leaf fanout and lock-release checks,
+   then an ascending tree order: two streaming walks. *)
 let check_invariants t =
   let lay = layout t in
-  Index.check_structure t.idx ~leaf_keys:(fun leaf ->
+  Index.check_structure t.idx ~leaf_keys:(fun leaf visit ->
       let n = Api.read (L.nkeys leaf) in
-      if n > lay.L.fanout then
-        raise (Invariant (Printf.sprintf "leaf %d overfull" leaf));
+      if n > lay.L.fanout then fail_inv "leaf %d overfull" leaf;
       if is_locked (Api.read (version_addr leaf)) then
-        raise (Invariant (Printf.sprintf "leaf %d left locked" leaf));
-      List.init n (fun i -> Api.read (L.record_key lay leaf i)));
-  let keys = List.map fst (to_list t) in
-  if keys <> List.sort compare keys then
-    raise (Invariant "leaf chain out of order")
+        fail_inv "leaf %d left locked" leaf;
+      for i = 0 to n - 1 do
+        visit (Api.read (L.record_key lay leaf i))
+      done);
+  let records = ref 0 and prev = ref 0 and ordered = ref true in
+  iter_records t (fun k _ ->
+      if !records > 0 && k < !prev then ordered := false;
+      prev := k;
+      incr records);
+  if not !ordered then fail_inv "leaf chain out of order"

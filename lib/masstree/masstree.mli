@@ -40,8 +40,22 @@ val delete : t -> int -> bool
 val scan : t -> from:int -> count:int -> (int * int) list
 
 val to_list : t -> (int * int) list
+(** All records in key order, by a walk of the index (tests). *)
+
 val size : t -> int
+(** Record count: {!to_list}'s walk and simulated reads, without the list. *)
 
 exception Invariant of string
 
 val check_invariants : t -> unit
+(** Raise {!Invariant} on a violated structural invariant: the shared
+    index checks, per-leaf fanout, no leaf left locked, and ascending
+    tree order.
+
+    {b Cost:} two walks, each one pass: the index check and the tree
+    order.  Neither allocates per node or record.
+
+    {b Determinism:} the {!Euno_sim.Api} calls are a fixed sequence for a
+    given tree, and a failing check raises after a fixed prefix of it.
+    Chaos checkpoints and crash recovery run this check inside measured
+    machines, so its reads are simulated time. *)

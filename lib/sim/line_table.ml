@@ -66,21 +66,16 @@ let writer_of t line =
 let[@inline] is_reader t line tid =
   line < Array.length t.readers && t.readers.(line) land (1 lsl tid) <> 0
 
-(* Reader tids of [line] except [tid], ascending — the doom order the
-   machine charges victims in, so it is part of the deterministic trace. *)
-let iter_readers_except t line tid f =
-  if line < Array.length t.readers then begin
-    let mask = t.readers.(line) land lnot (1 lsl tid) in
-    if mask <> 0 then
-      for i = 0 to max_threads - 1 do
-        if mask land (1 lsl i) <> 0 then f i
-      done
-  end
+(* Reader tids of [line] except [tid], as a bitmask.  The machine dooms
+   them in ascending tid order, so that order is part of the deterministic
+   trace. *)
+let[@inline] readers_mask_except t line tid =
+  if line < Array.length t.readers then t.readers.(line) land lnot (1 lsl tid)
+  else 0
 
 let readers_except t line tid =
-  let acc = ref [] in
-  iter_readers_except t line tid (fun i -> acc := i :: !acc);
-  List.rev !acc
+  let mask = readers_mask_except t line tid in
+  List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init max_threads Fun.id)
 
 let remove_thread t line tid =
   if line < Array.length t.writer && owned t line then begin

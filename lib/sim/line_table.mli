@@ -9,10 +9,10 @@
     update is O(1) with no per-access allocation (the arrays grow
     geometrically to the highest line ever owned).  [readers_except] is
     the one list-allocating query; the machine's hot path uses
-    {!iter_readers_except} and {!writer} instead.
+    {!readers_mask_except} and {!writer} instead.
 
-    {b Determinism:} iteration order over readers is ascending tid, which
-    fixes the order conflict victims are doomed (and charged) in. *)
+    {b Determinism:} the machine dooms readers in ascending tid order,
+    which fixes the order conflict victims are charged in. *)
 
 type t
 
@@ -33,9 +33,9 @@ val writer_of : t -> int -> int option
 val is_reader : t -> int -> int -> bool
 (** [is_reader t line tid]: is [tid] in the line's reader set? O(1). *)
 
-val iter_readers_except : t -> int -> int -> (int -> unit) -> unit
-(** Apply to every reader tid of the line except the given one, in
-    ascending tid order, without allocating. *)
+val readers_mask_except : t -> int -> int -> int
+(** Reader tids of the line except the given one, as a bitmask (bit [i]
+    for tid [i]); allocation-free. *)
 
 val readers_except : t -> int -> int -> int list
 (** All reader thread ids of a line except the given one, ascending. *)

@@ -503,9 +503,14 @@ let[@inline] doom_writer_of m ~attacker line =
   let w = Line_table.writer m.lt (granule m line) in
   if w >= 0 && w <> attacker then doom_holder m ~attacker ~victim_tid:w line
 
+(* Victims in ascending tid order, from the mask as it stood before the
+   first doom; a loop, not a closure, so a write allocates nothing here. *)
 let[@inline] doom_readers_of m ~attacker line =
-  Line_table.iter_readers_except m.lt (granule m line) attacker (fun r ->
-      doom_holder m ~attacker ~victim_tid:r line)
+  let mask = Line_table.readers_mask_except m.lt (granule m line) attacker in
+  if mask <> 0 then
+    for r = 0 to Line_table.max_threads - 1 do
+      if mask land (1 lsl r) <> 0 then doom_holder m ~attacker ~victim_tid:r line
+    done
 
 (* ---------- transactional hazards ---------- *)
 

@@ -1,16 +1,24 @@
 (* SplitMix64: a small, fast, high-quality deterministic PRNG.  Every source
    of randomness in the simulator is an explicitly seeded instance so whole
-   experiments replay bit-for-bit. *)
+   experiments replay bit-for-bit.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives in an 8-byte [Bytes]: [get/set_int64_ne] read and
+   write it unboxed, where a [mutable int64] field would box a fresh state
+   (and the inlined mixer's result) on every draw.  The machine draws once
+   per transactional access under a cost model with spurious aborts. *)
 
-let create seed = { state = Int64.of_int seed }
+type t = Bytes.t
+
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

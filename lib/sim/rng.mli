@@ -4,8 +4,9 @@
     Eunomia write scheduler) flows through explicitly seeded instances so
     that every experiment replays exactly.
 
-    {b Complexity:} {!next} is a handful of integer multiplies/shifts on one
-    mutable cell; no allocation.
+    {b Complexity:} {!next} is a handful of integer multiplies/shifts on an
+    8-byte state read and written unboxed; {!next}, {!int}, {!float} and
+    {!bool} allocate nothing.
 
     {b Determinism:} the sequence is a pure function of the seed; the
     simulator never consults host entropy, time, or address layout. *)

@@ -14,7 +14,7 @@ set -u
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-_build}/default/lib"
-MODULES="sim/Sched sim/Machine sim/Line_table sim/Txn htm/Htm sync/Spinlock sync/Backoff"
+MODULES="sim/Sched sim/Machine sim/Line_table sim/Txn sim/Rng htm/Htm sync/Spinlock sync/Backoff"
 PRIMS='caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal|hash)\b'
 
 if ! command -v objdump > /dev/null; then

@@ -298,7 +298,7 @@ let test_floor_direct () =
   let addr = scratch w ~words:8 in
   let run body = run_one w body in
   check_floor "direct read" ~ceiling:0.0 ~run (fun () -> ignore (Api.read addr));
-  check_floor "direct write" ~ceiling:6.0 ~run (fun () -> Api.write addr 1);
+  check_floor "direct write" ~ceiling:0.0 ~run (fun () -> Api.write addr 1);
   check_floor "work 1" ~ceiling:0.0 ~run (fun () -> Api.work 1)
 
 (* 16 threads at unit cost: each read leaves its thread behind the parked
@@ -330,7 +330,7 @@ let test_floor_htm () =
       ignore (Api.read (addr + (i * 8)))
     done
   in
-  check_floor "one-write Htm.atomic" ~ceiling:69.0
+  check_floor "one-write Htm.atomic" ~ceiling:63.0
     ~run:(fun body -> run_one w body)
     (fun () -> Htm.atomic ~lock write1);
   List.iter
@@ -339,7 +339,12 @@ let test_floor_htm () =
       check_floor ("8-read transaction, " ^ name) ~ceiling:63.0
         ~run:(fun body -> run_one ~cost w body)
         (fun () -> Htm.atomic ~lock read8))
-    Cost.capacity_models
+    Cost.capacity_models;
+  (* The default model's spurious-abort draw, once per transactional
+     access, must cost no more words than the unit model's. *)
+  check_floor "8-read transaction, Cost.default" ~ceiling:63.0
+    ~run:(fun body -> run_one ~cost:Cost.default w body)
+    (fun () -> Htm.atomic ~lock read8)
 
 let suite =
   [

@@ -806,10 +806,68 @@ let test_config_validation () =
   expect_invalid { Config.default with Config.near_full_margin = 0 };
   check_int "default capacity" 15 (Config.capacity Config.default)
 
+(* ---------- negative checker tests ---------- *)
+
+module Memory = Euno_mem.Memory
+module Leaf = Eunomia.Leaf
+
+(* A bulk-loaded 300-record tree (two records per segment), its leaf
+   shape, and the leaf covering key 150. *)
+let corruptible w =
+  let records = List.init 300 (fun k -> (k, k)) in
+  let t =
+    run_one w (fun () -> Euno.bulk_load ~cfg:Config.default ~map:w.map records)
+  in
+  let leaf = run_one w (fun () -> Euno.find_leaf t 150) in
+  (t, Leaf.shape Config.default ~map:w.map, leaf)
+
+let test_checker_catches_unsorted_segment () =
+  let w = fresh_world () in
+  let t, s, leaf = corruptible w in
+  let a = Leaf.seg_key_addr s leaf 0 0 and b = Leaf.seg_key_addr s leaf 0 1 in
+  let ka = Memory.get w.mem a in
+  Memory.set w.mem a (Memory.get w.mem b);
+  Memory.set w.mem b ka;
+  expect_invariant w ~msg:"seg 0: keys not sorted" (fun () ->
+      Euno.check_invariants t)
+
+(* Segment 1's smallest key becomes segment 0's: both stay sorted. *)
+let test_checker_catches_duplicate_across_segments () =
+  let w = fresh_world () in
+  let t, s, leaf = corruptible w in
+  Memory.set w.mem (Leaf.seg_key_addr s leaf 1 0)
+    (Memory.get w.mem (Leaf.seg_key_addr s leaf 0 0));
+  expect_invariant w ~msg:"duplicate key" (fun () -> Euno.check_invariants t)
+
+(* A ready-mode leaf promises its marks cover every live key. *)
+let test_checker_catches_unmarked_key () =
+  let w = fresh_world () in
+  let t, s, leaf = corruptible w in
+  run_one w (fun () ->
+      Api.write (Leaf.mode_addr leaf) Ccm.mode_ready;
+      Ccm.write_marks (Leaf.ccm s leaf) 0);
+  expect_invariant w ~msg:"not marked" (fun () -> Euno.check_invariants t)
+
+let test_checker_catches_chain_skip () =
+  let w = fresh_world () in
+  let t, _, leaf = corruptible w in
+  let next = Memory.get w.mem (Leaf.next_addr leaf) in
+  Memory.set w.mem (Leaf.next_addr leaf) (Memory.get w.mem (Leaf.next_addr next));
+  expect_invariant w ~msg:"leaf chain disagrees" (fun () ->
+      Euno.check_invariants t)
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "checker catches an unsorted segment" `Quick
+      test_checker_catches_unsorted_segment;
+    Alcotest.test_case "checker catches a key in two segments" `Quick
+      test_checker_catches_duplicate_across_segments;
+    Alcotest.test_case "checker catches an unmarked key in ready mode" `Quick
+      test_checker_catches_unmarked_key;
+    Alcotest.test_case "checker catches a chain skipping a leaf" `Quick
+      test_checker_catches_chain_skip;
     Alcotest.test_case "iteration helpers" `Quick test_iteration_helpers;
     Alcotest.test_case "tree stats" `Quick test_tree_stats;
     Alcotest.test_case "bulk load under every config" `Quick

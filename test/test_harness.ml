@@ -406,8 +406,40 @@ let test_strategy_sweep_records_complete_and_deterministic () =
   check_bool "deterministic across double run" true
     (List.map Json.to_string records = List.map Json.to_string again)
 
+(* ---------- check floor: minor words per record ---------- *)
+
+(* [Kv.check] on a bulk-loaded 64 Ki-record tree, per record.  Every walk
+   streams, so the B+Tree and Masstree checks allocate nothing per record
+   (the streaming change took them from 70-79 words).  Euno's leaf-chain
+   walk runs one [Htm.atomic], one advisory-lock round trip and one
+   reserved-buffer allocation per leaf, all of which allocate on the host:
+   about 120 words a leaf, 12 per record at ten records a leaf (from
+   117.5). *)
+let test_check_floor () =
+  let n = 1 lsl 16 in
+  let records = List.init n (fun k -> (k, k)) in
+  List.iter
+    (fun (kind, ceiling) ->
+      let w = fresh_world () in
+      let kv = run_one w (fun () -> Kv.build ~records kind ~fanout:16 ~map:w.map) in
+      let before = Gc.minor_words () in
+      run_one w kv.Kv.check;
+      let got = (Gc.minor_words () -. before) /. float_of_int n in
+      if got > ceiling then
+        Alcotest.failf "%s: Kv.check %.2f minor words per record, ceiling %.0f"
+          (Kv.kind_name kind) got ceiling)
+    [
+      (Kv.Htm_bptree, 1.0);
+      (Kv.Lock_bptree, 1.0);
+      (Kv.Masstree, 1.0);
+      (Kv.Htm_masstree, 1.0);
+      (Kv.Euno Config.full, 12.5);
+    ]
+
 let suite =
   [
+    Alcotest.test_case "check floor: Kv.check words per record" `Quick
+      test_check_floor;
     Alcotest.test_case "stress marathon (all trees)" `Slow
       test_stress_marathon;
     Alcotest.test_case "kv semantic parity across trees" `Slow

@@ -17,11 +17,8 @@ let build_tree w ~n =
       done;
       t)
 
-let expect_invariant w t =
-  run_one w (fun () ->
-      match Bptree.check_invariants t with
-      | () -> Alcotest.fail "checker accepted a corrupted tree"
-      | exception Bptree.Invariant _ -> ())
+let expect_invariant ?(msg = "") w t =
+  Util.expect_invariant w ~msg (fun () -> Bptree.check_invariants t)
 
 let test_checker_accepts_valid () =
   let w = fresh_world () in
@@ -63,6 +60,30 @@ let test_checker_catches_broken_chain () =
   (* Truncate the leaf chain: scan will miss records. *)
   Memory.set w.mem (L.next leaf) 0;
   expect_invariant w t
+
+(* Swap the last key of one leaf with the first of the next: each leaf
+   stays sorted, but the pair crosses the separator between them. *)
+let test_checker_catches_order_across_leaves () =
+  let w = fresh_world () in
+  let t = build_tree w ~n:300 in
+  let lay = L.make ~fanout:8 in
+  let a = run_one w (fun () -> Bptree.find_leaf t 100) in
+  let b = Memory.get w.mem (L.next a) in
+  let last = L.record_key lay a (Memory.get w.mem (L.nkeys a) - 1) in
+  let first = L.record_key lay b 0 in
+  let ka = Memory.get w.mem last in
+  Memory.set w.mem last (Memory.get w.mem first);
+  Memory.set w.mem first ka;
+  expect_invariant ~msg:"above bound" w t
+
+(* Point a leaf's next pointer past its successor: every leaf is still
+   reachable through the index, but the chain misses one. *)
+let test_checker_catches_chain_skip () =
+  let w = fresh_world () in
+  let t = build_tree w ~n:300 in
+  let a = run_one w (fun () -> Bptree.find_leaf t 100) in
+  Memory.set w.mem (L.next a) (Memory.get w.mem (L.next (Memory.get w.mem (L.next a))));
+  expect_invariant ~msg:"leaf chain misses records" w t
 
 let test_lower_bound_matches_model () =
   let w = fresh_world () in
@@ -110,6 +131,10 @@ let suite =
       test_checker_catches_bound_violation;
     Alcotest.test_case "checker catches broken chain" `Quick
       test_checker_catches_broken_chain;
+    Alcotest.test_case "checker catches order across leaves" `Quick
+      test_checker_catches_order_across_leaves;
+    Alcotest.test_case "checker catches a chain skipping a leaf" `Quick
+      test_checker_catches_chain_skip;
     Alcotest.test_case "lookups match model through internal levels" `Quick
       test_lower_bound_matches_model;
     Alcotest.test_case "internal splits grow depth" `Quick

@@ -122,7 +122,10 @@ let test_stash_reserved_roundtrip_and_accounting () =
       ignore leaf;
       ignore s;
       let live0 = Euno_mem.Alloc.live_words w.alloc in
-      let stash = Leaf.stash_reserved [ (1, 10); (2, 20); (3, 30) ] in
+      let stash =
+        Leaf.stash_reserved
+          { Leaf.keys = [| 1; 2; 3 |]; vals = [| 10; 20; 30 |]; n = 3 }
+      in
       let buf, _ = stash in
       check_int "stash key" 2 (Api.read (buf + 2));
       check_int "stash value" 20 (Api.read (buf + 3));

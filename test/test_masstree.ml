@@ -259,10 +259,56 @@ let test_deterministic_replay () =
   in
   check_bool "identical replay" true (run () = run ())
 
+(* ---------- negative checker tests ---------- *)
+
+module Memory = Euno_mem.Memory
+module Index = Euno_bptree.Index
+module L = Euno_bptree.Layout
+
+(* A 300-record tree, its leaf layout, and the leaf covering key 100. *)
+let corruptible w =
+  let t = with_tree w (fun t ->
+      for k = 0 to 299 do
+        Mt.put t k k
+      done;
+      t)
+  in
+  let leaf = run_one w (fun () -> Index.find_leaf (Mt.index t) 100) in
+  (t, L.make ~fanout:8, leaf)
+
+let test_checker_catches_locked_leaf () =
+  let w = fresh_world () in
+  let t, _, leaf = corruptible w in
+  Memory.set w.mem (L.version leaf) (Memory.get w.mem (L.version leaf) lor 1);
+  expect_invariant w ~msg:"left locked" (fun () -> Mt.check_invariants t)
+
+let test_checker_catches_overfull_leaf () =
+  let w = fresh_world () in
+  let t, _, leaf = corruptible w in
+  Memory.set w.mem (L.nkeys leaf) 9;
+  expect_invariant w ~msg:"overfull" (fun () -> Mt.check_invariants t)
+
+let test_checker_catches_order_across_leaves () =
+  let w = fresh_world () in
+  let t, lay, a = corruptible w in
+  let b = Memory.get w.mem (L.next a) in
+  let last = L.record_key lay a (Memory.get w.mem (L.nkeys a) - 1) in
+  let first = L.record_key lay b 0 in
+  let ka = Memory.get w.mem last in
+  Memory.set w.mem last (Memory.get w.mem first);
+  Memory.set w.mem first ka;
+  expect_invariant w ~msg:"above bound" (fun () -> Mt.check_invariants t)
+
 let suite =
   [
     Alcotest.test_case "insert+get" `Quick test_insert_get;
     Alcotest.test_case "update+delete" `Quick test_update_delete;
+    Alcotest.test_case "checker catches a leaf left locked" `Quick
+      test_checker_catches_locked_leaf;
+    Alcotest.test_case "checker catches an overfull leaf" `Quick
+      test_checker_catches_overfull_leaf;
+    Alcotest.test_case "checker catches order across leaves" `Quick
+      test_checker_catches_order_across_leaves;
     Alcotest.test_case "scan" `Quick test_scan;
     prop_model_based;
     Alcotest.test_case "concurrent disjoint inserts" `Quick

@@ -534,6 +534,51 @@ let test_rng_float_range () =
     if f < 0.0 || f >= 1.0 then Alcotest.failf "float out of range: %f" f
   done
 
+(* The SplitMix64 stream is part of every replay: pin its first outputs
+   for edge seeds, one draw of each kind in a fixed order.  Per seed:
+   two [next]; [int 1000] and [int 7]; one [float]; two [bool]; [next]
+   and [int 1_000_000] of a [split] child; then the parent's [next]. *)
+let rng_pins =
+  [
+    (0, [ 4073552104164651883; 1990071630548588925 ], [ 419; 1 ],
+     0x1.b39896a51a87p-4, [ false; true ], [ 4221528601935946108; 937863 ],
+     1133040290248155824);
+    (1, [ 2612804094800205616; 3439311302766607129 ], [ 647; 1 ],
+     0x1.c6ed53634406cp-2, [ false; true ], [ 974835164818889539; 853729 ],
+     1316676407973089130);
+    (-7, [ 1947672806076484188; 2207323703698285738 ], [ 796; 4 ],
+     0x1.21bef7b15d6efp-1, [ true; false ], [ 4100771480988555438; 627895 ],
+     129795138795309104);
+    (max_int, [ 1222659272267685417; 289363092483287935 ], [ 872; 1 ],
+     0x1.72a92b1a5ec6ep-1, [ true; false ], [ 3745992758448753745; 619000 ],
+     562189076470696132);
+    (min_int, [ 168396570873835692; 2294841995765125365 ], [ 453; 2 ],
+     0x1.0bc20bbe519aap-1, [ true; false ], [ 4218740590554087902; 762965 ],
+     1646633325680653458);
+  ]
+
+let test_rng_pinned_stream () =
+  List.iter
+    (fun (seed, nexts, ints, f, bools, child, after) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let r = Rng.create seed in
+      let n1 = Rng.next r in
+      let n2 = Rng.next r in
+      Alcotest.(check (list int)) (name "next") nexts [ n1; n2 ];
+      let i1 = Rng.int r 1000 in
+      let i2 = Rng.int r 7 in
+      Alcotest.(check (list int)) (name "int") ints [ i1; i2 ];
+      check_bool (name "float") true (Rng.float r = f);
+      let b1 = Rng.bool r in
+      let b2 = Rng.bool r in
+      Alcotest.(check (list bool)) (name "bool") bools [ b1; b2 ];
+      let c = Rng.split r in
+      let c1 = Rng.next c in
+      let c2 = Rng.int c 1_000_000 in
+      Alcotest.(check (list int)) (name "split") child [ c1; c2 ];
+      check_int (name "next after split") after (Rng.next r))
+    rng_pins
+
 let prop_spinlock_mutual_exclusion =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:20 ~name:"spinlock: no lost update, any seed"
@@ -948,6 +993,7 @@ let suite =
     Alcotest.test_case "running machine scope" `Quick test_running_machine_scope;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniform;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
+    Alcotest.test_case "rng pinned stream" `Quick test_rng_pinned_stream;
     prop_spinlock_mutual_exclusion;
     prop_htm_counter_any_seed;
     Alcotest.test_case "sampling window boundaries" `Quick

@@ -49,3 +49,13 @@ let contains haystack needle =
     else go (i + 1)
   in
   go 0
+
+(* Run a structural checker on the machine: it must raise an invariant
+   failure whose message contains [msg]. *)
+let expect_invariant w ~msg check =
+  run_one w (fun () ->
+      match check () with
+      | () -> Alcotest.failf "checker accepted a corrupted tree (wanted %S)" msg
+      | exception Euno_bptree.Index.Invariant s ->
+          if not (contains s msg) then
+            Alcotest.failf "checker reported %S, wanted %S" s msg)
