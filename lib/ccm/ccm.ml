@@ -77,14 +77,14 @@ let slot_lock_id t slot = ((t.base + off_locks) * 64) + slot
 let lock_slot t slot =
   let addr = t.base + off_locks in
   let bit = 1 lsl slot in
-  let b = Euno_sync.Backoff.create ~base:24 ~cap:2048 () in
-  let rec loop () =
-    if not (set_bit addr bit) then begin
-      Euno_sync.Backoff.once b;
-      loop ()
-    end
-  in
-  loop ();
+  (* Backoff state only after a failed try: a free slot costs no allocation. *)
+  if not (set_bit addr bit) then begin
+    let b = Euno_sync.Backoff.create ~base:24 ~cap:2048 () in
+    Euno_sync.Backoff.once b;
+    while not (set_bit addr bit) do
+      Euno_sync.Backoff.once b
+    done
+  end;
   if Sev.armed () then Api.san_note (Sev.Acquire (Sev.Slot, slot_lock_id t slot))
 
 let unlock_slot t slot =

@@ -143,7 +143,7 @@ let execute config ~policy =
       ~mem ~map ~alloc
   in
   let expl = Explore.create ~seed:config.seed policy in
-  Machine.set_explorer m (Some (Explore.hook expl));
+  Machine.set_explorer m (Some (Explore.choose expl));
   let r = History.recorder () in
   let mix = mix_of_name config.mix in
   Machine.run m (fun tid ->
@@ -245,20 +245,46 @@ let repro_of_string s =
         | Some s -> s
         | None -> invalid_arg ("Check_run: unknown strategy " ^ name))
   in
+  (* Every field is checked here, so a bad descriptor fails before the
+     replay starts, with the field named. *)
+  let int ?(lo = 1) ?(hi = max_int) name =
+    match int_of_string_opt (get name) with
+    | Some v when v >= lo && v <= hi -> v
+    | _ -> invalid_arg (Printf.sprintf "Check_run: bad %s=%s" name (get name))
+  in
+  let checked name check =
+    let v = get name in
+    check v;
+    v
+  in
   let config =
     {
       tree = kind_of_name (get "tree");
-      mix = get "mix";
-      dist = get "dist";
+      mix = checked "mix" (fun m -> ignore (mix_of_name m));
+      dist = checked "dist" (fun d -> ignore (dist_of_name d));
       strategy;
-      threads = int_of_string (get "threads");
-      ops = int_of_string (get "ops");
-      keys = int_of_string (get "keys");
-      seed = int_of_string (get "seed");
-      mutation = get "mut";
+      threads = int "threads" ~hi:Euno_sim.Line_table.max_threads;
+      ops = int "ops";
+      keys = int "keys";
+      seed = int "seed" ~lo:min_int;
+      mutation =
+        checked "mut" (fun m ->
+            if m <> "none" && not (List.mem_assoc m mutations) then
+              invalid_arg ("Check_run: unknown mutation " ^ m));
     }
   in
-  (config, Explore.spec_of_string (get "policy"))
+  let policy = Explore.spec_of_string (get "policy") in
+  (match policy with
+  | Explore.Replay ps ->
+      List.iter
+        (fun (p : Explore.preemption) ->
+          if p.p_tid >= config.threads then
+            invalid_arg
+              (Printf.sprintf "Check_run: replay tid=%d, want < threads=%d"
+                 p.p_tid config.threads))
+        ps
+  | _ -> ());
+  (config, policy)
 
 (* ---------- counterexample shrinking ---------- *)
 

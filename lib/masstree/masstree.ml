@@ -74,16 +74,24 @@ let leaf_work = 140
 (* A stable (unlocked) version of a node; spins while a writer is in the
    node.  Each check is the paper's "version manipulation". *)
 let stable_version node =
-  let b = Backoff.create ~base:16 ~cap:1024 () in
-  let rec go () =
-    let v = Api.read (version_addr node) in
-    if is_locked v then begin
+  let v = Api.read (version_addr node) in
+  if not (is_locked v) then v
+  else begin
+    (* Backoff state only once a writer is seen: the common unlocked read
+       allocates nothing. *)
+    let b = Backoff.create ~base:16 ~cap:1024 () in
+    let rec go () =
       Backoff.once b;
-      go ()
-    end
-    else v
-  in
-  go ()
+      let v = Api.read (version_addr node) in
+      if is_locked v then go () else v
+    in
+    go ()
+  end
+
+let try_lock_node node =
+  let v = Api.read (version_addr node) in
+  (not (is_locked v))
+  && Api.cas (version_addr node) ~expected:v ~desired:(v lor lock_bit)
 
 (* Acquire a node's version lock.  In elided mode there is no CAS: the
    transaction reads the word (subscribing to it) and aborts if a fallback
@@ -94,21 +102,15 @@ let lock_node t node =
       Api.xabort Abort.xabort_lock_held
   end
   else begin
-    let b = Backoff.create ~base:24 ~cap:2048 () in
-    let rec go () =
-      let v = Api.read (version_addr node) in
-      if is_locked v then begin
-        Backoff.once b;
-        go ()
-      end
-      else if
-        not (Api.cas (version_addr node) ~expected:v ~desired:(v lor lock_bit))
-      then begin
-        Backoff.once b;
-        go ()
-      end
-    in
-    go ();
+    (* Try once before building the backoff: an uncontended lock
+       allocates nothing. *)
+    if not (try_lock_node node) then begin
+      let b = Backoff.create ~base:24 ~cap:2048 () in
+      Backoff.once b;
+      while not (try_lock_node node) do
+        Backoff.once b
+      done
+    end;
     if Sev.armed () then
       Api.san_note (Sev.Acquire (Sev.Version, version_addr node))
   end

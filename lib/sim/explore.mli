@@ -1,16 +1,17 @@
 (** Schedule-exploration policies for EunoCheck.
 
     The default scheduler executes the one canonical min-(clock, tid)
-    interleaving per seed.  An exploration policy perturbs it: after every
-    interpreted effect the machine consults the policy
-    ({!Machine.set_explorer}), which may {e park} the thread that just ran
-    for a number of scheduler picks, letting other ready threads overtake
-    it.  Forced context switches at transaction and lock boundaries open
-    exactly the windows where fast-path/fallback atomicity bugs hide.
+    interleaving per seed.  An exploration policy perturbs it: the machine
+    asks {!choose} which runnable thread runs next
+    ({!Machine.set_explorer}), and after every interpreted effect the
+    policy may {e park} the thread that just ran for a number of picks,
+    letting other ready threads overtake it.  Forced context switches at
+    transaction and lock boundaries open exactly the windows where
+    fast-path/fallback atomicity bugs hide.
 
     {b Complexity:} one consultation is O(1) for the random policies and
-    O(|preemptions|) for {!Replay}; policy state is a few words plus the
-    per-thread counters.
+    O(|preemptions|) for {!Replay}, plus O(runnable threads) for the park
+    overlay; policy state is a few words plus the per-thread counters.
 
     {b Determinism:} a policy's decisions are a pure function of its spec,
     its seed and the consultation stream — never of host state — so a
@@ -73,21 +74,26 @@ val spec_to_string : spec -> string
     …) embedded in repro commands; inverse of {!spec_of_string}. *)
 
 val spec_of_string : string -> spec
-(** Raises [Invalid_argument] on malformed descriptors. *)
+(** Raises [Invalid_argument], naming the field, on a malformed
+    descriptor or an out-of-range value (see {!create}). *)
 
 type t
 
 val create : ?seed:int -> spec -> t
-(** A fresh policy instance.  All randomness comes from a SplitMix64
-    stream derived from [seed] (default 1). *)
+(** A fresh policy instance for one machine run, its randomness a
+    SplitMix64 stream derived from [seed] (default 1).  Raises
+    [Invalid_argument] on [per] outside 0..1024, a [span] or [horizon]
+    below 1, or a [depth], replay [tid] or replay [at] below 0. *)
 
 val spec : t -> spec
 
-val hook : t -> tid:int -> point:point -> int
-(** One consultation; returns the park span ([0] = stay schedulable).
-    Called by the machine after every interpreted effect of a
-    still-runnable thread, in execution order — the per-thread and global
-    consultation counters advance on every call.  Pass this (partially
+val choose : t -> last:int -> point:point -> int list -> int
+(** [choose t ~last ~point ready] returns the tid to run next from
+    [ready], the runnable tids in (clock, tid) order.  [last] is the
+    thread that just executed a [point] and is still runnable, or [-1]; a
+    [last >= 0] is one consultation and may park it.  The pick is the
+    first unparked tid (if all are parked, the first is force-released),
+    and each pick drains every parked span by one.  Pass this (partially
     applied) to {!Machine.set_explorer}. *)
 
 val fired : t -> preemption list

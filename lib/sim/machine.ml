@@ -214,7 +214,7 @@ type t = {
   mutable obs_active : bool;
     (* same inert-branch pattern as the injector: while no observer is
        installed every emission site tests one bool and builds no event *)
-  mutable explore : tid:int -> point:Explore.point -> int;
+  mutable explore : last:int -> point:Explore.point -> int list -> int;
   mutable exp_active : bool;
     (* inert-branch pattern again: with no exploration policy installed,
        [run] uses the Sched heap loop untouched and the access path only
@@ -292,7 +292,7 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     inj_active = false;
     observer = ignore;
     obs_active = false;
-    explore = (fun ~tid:_ ~point:_ -> 0);
+    explore = (fun ~last:_ ~point:_ _ -> -1);
     exp_active = false;
     exp_point = Explore.Step;
     sample_window = 0;
@@ -320,14 +320,9 @@ let set_observer m hook =
       m.observer <- ignore;
       m.obs_active <- false
 
-let set_explorer m hook =
-  match hook with
-  | Some f ->
-      m.explore <- f;
-      m.exp_active <- true
-  | None ->
-      m.explore <- (fun ~tid:_ ~point:_ -> 0);
-      m.exp_active <- false
+let set_explorer m choose =
+  m.explore <- Option.value choose ~default:(fun ~last:_ ~point:_ _ -> -1);
+  m.exp_active <- Option.is_some choose
 
 (* Emit an event for thread [t].  Callers must test [m.obs_active] first
    and build the body inside that branch, so an unobserved run allocates
@@ -1127,74 +1122,41 @@ let schedule m bodies =
     | Done | Failed _ -> loop ()
     | Running -> assert false
   in
-  (* Exploration scheduler: same min-(clock, tid) pick, but over a linear
-     scan (thread counts in explore runs are tiny) with a park overlay.  A
-     policy consultation after every interpreted call may park the
-     thread for [span] picks; parked threads are skipped until their span
-     drains (one tick per pick of another thread) or until every runnable
-     thread is parked, when the minimum parked thread is force-released so
-     the machine never deadlocks itself.
-
-     Timestamp truthfulness: linearizability checking orders events by
-     their recorded clocks, so execution order must never contradict
-     them.  A thread overtaken while parked could otherwise execute "in
-     the past" of effects that already ran; bumping its clock to the start
-     clock of the last executed effect ([now]) keeps recorded intervals
-     consistent with execution order.  Under a pure min-clock policy the
-     bump is provably a no-op (the picked minimum never decreases), so an
-     inert policy reproduces the heap loop's schedule exactly. *)
+  (* Exploration: each turn the policy picks from the runnable tids in
+     (clock, tid) order, sorted here rather than taken from the heap so the
+     min-clock parity tests check one pick against the other.  [last] is
+     the thread that just stepped and is still runnable, else -1.  The
+     pick's clock is bumped to [now], the start clock of the last effect:
+     histories order events by clock, so no thread may run "in the past"
+     of recorded effects.  Under min-clock the bump is a no-op. *)
   let explore_loop () =
-    let n = Array.length m.threads in
-    let parked = Array.make n 0 in
-    let now = ref 0 in
-    let runnable t =
-      match t.status with Start _ | Ready _ -> true | _ -> false
+    let runnable i =
+      match m.threads.(i).status with Start _ | Ready _ -> true | _ -> false
     in
-    let pick_min pred =
-      let b = ref (-1) in
-      for i = 0 to n - 1 do
-        let t = m.threads.(i) in
-        if runnable t && pred i && (!b < 0 || t.clock < m.threads.(!b).clock)
-        then b := i
-      done;
-      !b
+    let by_clock a b =
+      match Int.compare m.threads.(a).clock m.threads.(b).clock with
+      | 0 -> Int.compare a b
+      | c -> c
     in
-    let rec pick () =
-      let c =
-        match pick_min (fun i -> parked.(i) = 0) with
-        | -1 ->
-            let p = pick_min (fun i -> parked.(i) > 0) in
-            if p >= 0 then parked.(p) <- 0;
-            p
-        | c -> c
-      in
-      if c >= 0 then begin
-        let t = m.threads.(c) in
-        for i = 0 to n - 1 do
-          if i <> c && parked.(i) > 0 && runnable m.threads.(i) then
-            parked.(i) <- parked.(i) - 1
-        done;
-        if t.clock < !now then t.clock <- !now;
-        now := t.clock;
-        if not (preempted t) then begin
-          m.exp_point <- Explore.Step;
-          resume_once t;
-          match t.status with
-          | Start _ | Ready _ ->
-              let span = m.explore ~tid:t.tid ~point:m.exp_point in
-              if span > 0 then begin
-                parked.(c) <- span;
-                if m.obs_active then
-                  observe m t
-                    (Sev.Injected (Printf.sprintf "explore-park:%d" span))
-              end
-          | Done | Failed _ -> ()
-          | Running -> assert false
-        end;
-        pick ()
-      end
+    let tids = List.init (Array.length m.threads) Fun.id in
+    let rec turn ~now ~last =
+      match List.sort by_clock (List.filter runnable tids) with
+      | [] -> ()
+      | ready ->
+          let c = m.explore ~last ~point:m.exp_point ready in
+          if not (List.exists (Int.equal c) ready) then
+            invalid_arg (Printf.sprintf "Machine.run: explorer chose tid %d" c);
+          let t = m.threads.(c) in
+          t.clock <- Int.max now t.clock;
+          let now = t.clock in
+          if preempted t then turn ~now ~last:(-1)
+          else begin
+            m.exp_point <- Explore.Step;
+            resume_once t;
+            turn ~now ~last:(if runnable c then c else -1)
+          end
     in
-    pick ()
+    turn ~now:0 ~last:(-1)
   in
   if m.exp_active then explore_loop () else loop ();
   (* Close the series with a final partial-window sample so the tail of the

@@ -187,21 +187,21 @@ val no_injector : injector
 val set_injector : t -> injector -> unit
 (** Install fault hooks.  Call before {!run}. *)
 
-val set_explorer : t -> (tid:int -> point:Explore.point -> int) option -> unit
-(** Install (or remove) a schedule-exploration policy consultation; see
-    {!Explore}.  While installed, {!run} replaces the heap scheduler with
-    an exploration loop: after every interpreted {!Api} call the hook is asked
-    whether the thread that just ran should be parked for the returned
-    number of scheduler picks (0 = keep it schedulable), letting other
-    ready threads overtake it.  Parked threads are force-released when
-    every runnable thread is parked, so exploration cannot deadlock the
-    machine, and an overtaken thread's clock is bumped forward so recorded
-    timestamps never contradict execution order.  With no explorer
-    installed (the default) the machine never consults {!Explore} and runs
-    are byte-identical to builds without it; with [Some
-    (Explore.hook policy)] the run is still fully deterministic — the
-    schedule is a pure function of (machine seed, policy spec, policy
-    seed).  Call before {!run}. *)
+val set_explorer :
+  t -> (last:int -> point:Explore.point -> int list -> int) option -> unit
+(** Install (or remove) a schedule-exploration policy; see {!Explore}.
+    While installed, {!run} replaces the heap scheduler with a choice per
+    turn: the policy receives the thread that just ran one {!Api} call and
+    is still runnable (or [-1]), the {!Explore.point} of that call, and
+    the runnable tids in (clock, tid) order, and returns the tid to run
+    next; a tid that is not runnable raises [Invalid_argument].  The
+    chosen thread's clock is bumped to the start clock of the last
+    executed call, so recorded timestamps never contradict execution
+    order.  With no explorer installed (the default) the machine never
+    consults {!Explore} and runs are byte-identical to builds without it;
+    with [Some (Explore.choose policy)] the run is still fully
+    deterministic — the schedule is a pure function of (machine seed,
+    policy spec, policy seed).  Call before {!run}. *)
 
 val n_threads : t -> int
 val memory : t -> Euno_mem.Memory.t

@@ -30,30 +30,34 @@ let try_acquire addr =
   if ok && Sev.armed () then Api.san_note (Sev.Acquire (Sev.Spin, addr));
   ok
 
+(* Both acquires try once before building any backoff state, so an
+   uncontended acquire allocates nothing ([Backoff.create] makes no [Api]
+   call, so the simulated call stream is the same either way). *)
 let acquire addr =
-  let b = Backoff.create () in
-  let rec loop () =
-    if not (try_acquire addr) then begin
-      Backoff.once b;
-      loop ()
-    end
-  in
-  loop ()
+  if not (try_acquire addr) then begin
+    let b = Backoff.create () in
+    Backoff.once b;
+    while not (try_acquire addr) do
+      Backoff.once b
+    done
+  end
 
 (* Bounded acquisition: gives up after ~[max_cycles] of spinning so a
    leaked or stalled lock cannot hang the caller forever. *)
 let acquire_bounded ~max_cycles addr =
   let t0 = Api.clock () in
-  let b = Backoff.create () in
-  let rec loop () =
-    if try_acquire addr then true
-    else if Api.clock () - t0 >= max_cycles then false
-    else begin
-      Backoff.once b;
-      loop ()
-    end
-  in
-  loop ()
+  if try_acquire addr then true
+  else begin
+    let b = Backoff.create () in
+    let rec loop () =
+      if Api.clock () - t0 >= max_cycles then false
+      else begin
+        Backoff.once b;
+        try_acquire addr || loop ()
+      end
+    in
+    loop ()
+  end
 
 let holder addr =
   let v = Api.read addr in

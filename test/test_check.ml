@@ -41,6 +41,78 @@ let test_spec_roundtrip () =
         ];
     ]
 
+(* ---------- the park overlay, without a machine ---------- *)
+
+let pre tid at span =
+  { Explore.p_tid = tid; p_at = at; p_point = Explore.Step; p_span = span }
+
+(* Drive [choose] over a script of (last, ready) turns; return the picks. *)
+let picks e script =
+  List.map
+    (fun (last, ready) -> Explore.choose e ~last ~point:Explore.Step ready)
+    script
+
+let check_picks = Alcotest.(check (list int))
+
+(* Thread 0's third consultation parks it for 3 picks: it sits out exactly
+   three picks of thread 1, one span tick each, then is first again.  A
+   [last] of -1 is no consultation, so it advances no index. *)
+let test_park_span_drains () =
+  let e = Explore.create (Explore.Replay [ pre 0 2 3 ]) in
+  let r = [ 0; 1; 2 ] in
+  check_picks "picks"
+    [ 0; 0; 0; 0; 1; 1; 1; 0 ]
+    (picks e
+       [ (-1, r); (0, r); (-1, r); (0, r); (0, r); (1, r); (1, r); (1, r) ]);
+  Alcotest.(check (list string))
+    "fired" [ "0@2:step*3" ]
+    (List.map Explore.preemption_to_string (Explore.fired e))
+
+(* Both threads parked: the first of the ready list — (clock, tid) order,
+   here tid 1 ahead of tid 0 — is force-released and its span cleared,
+   while thread 0 keeps draining until the sixth pick. *)
+let test_all_parked_releases_first () =
+  let e = Explore.create (Explore.Replay [ pre 0 0 5; pre 1 0 5 ]) in
+  check_picks "picks" [ 1; 1; 1; 1; 1; 0 ]
+    (picks e
+       [ (0, [ 0; 1 ]); (1, [ 1; 0 ]); (-1, [ 0; 1 ]); (1, [ 0; 1 ]);
+         (1, [ 1; 0 ]); (1, [ 0; 1 ]) ]);
+  check_int "both fired" 2 (List.length (Explore.fired e))
+
+(* Replay fires at exactly its (tid, consultation index): thread 1's
+   index 1, not thread 0's index 1 nor thread 1's index 0 or 2. *)
+let test_replay_fires_exactly () =
+  let e = Explore.create (Explore.Replay [ pre 1 1 2 ]) in
+  let a = [ 0; 1 ] and b = [ 1; 0 ] in
+  check_picks "picks" [ 0; 0; 1; 0; 0; 1; 1 ]
+    (picks e [ (0, a); (0, a); (1, b); (1, b); (0, b); (0, b); (1, b) ]);
+  Alcotest.(check (list string))
+    "fired" [ "1@1:step*2" ]
+    (List.map Explore.preemption_to_string (Explore.fired e))
+
+(* Min_clock never parks: every pick is the head of the ready list. *)
+let test_min_clock_head () =
+  let e = Explore.create Explore.Min_clock in
+  List.iter
+    (fun (last, ready) ->
+      check_int "head" (List.hd ready)
+        (Explore.choose e ~last ~point:Explore.Xbegin ready))
+    [ (-1, [ 3; 0; 2 ]); (3, [ 0; 2; 3 ]); (0, [ 2; 0 ]); (2, [ 1 ]);
+      (1, [ 5; 4; 1 ]) ];
+  check_bool "nothing fired" true (Explore.fired e = [])
+
+(* The machine refuses a choice outside the runnable set. *)
+let test_bad_choice_refused () =
+  let w = fresh_world () in
+  let m =
+    Machine.create ~threads:2 ~seed:1 ~cost:Cost.unit_costs ~mem:w.mem
+      ~map:w.map ~alloc:w.alloc
+  in
+  Machine.set_explorer m (Some (fun ~last:_ ~point:_ _ -> 2));
+  match Machine.run m (fun _ -> Api.work 1) with
+  | () -> Alcotest.fail "tid 2 of 2 threads was run"
+  | exception Invalid_argument _ -> ()
+
 (* ---------- exploration semantics on the machine ---------- *)
 
 (* A contended tree workload with the full trace captured as JSON lines
@@ -62,7 +134,7 @@ let traced_tree_run ?policy ~threads ~seed () =
   (match policy with
   | None -> ()
   | Some spec ->
-      Machine.set_explorer m (Some (Explore.hook (Explore.create ~seed spec))));
+      Machine.set_explorer m (Some (Explore.choose (Explore.create ~seed spec))));
   let trace = ref [] in
   Machine.set_observer m
     (Some
@@ -82,12 +154,13 @@ let traced_tree_run ?policy ~threads ~seed () =
   List.rev !trace
 
 (* Installing the Min_clock policy must be observationally identical to
-   running with no explorer at all: the exploration scheduler's pick
-   order, clock handling and sampling all have to agree with the default
-   path.  This is the guard that keeps golden traces byte-identical.  The
-   explorer picks by a linear scan, so it is also an independent reference
-   for the run queue's pick order, stale entries included; at 16 threads
-   the heap is deep enough for multi-level sifts in [Sched.exchange]. *)
+   running with no explorer at all: the choice path's pick order, clock
+   handling and sampling all have to agree with the default path.  This
+   is the guard that keeps golden traces byte-identical.  The choice path
+   orders the runnable threads by a scan and sort of its own, never
+   through [Sched], so it is also an independent reference for the run
+   queue's pick order, stale entries included; at 16 threads the heap is
+   deep enough for multi-level sifts in [Sched.exchange]. *)
 let test_min_clock_parity threads () =
   let a = traced_tree_run ~threads ~seed:42 () in
   let b = traced_tree_run ~policy:Explore.Min_clock ~threads ~seed:42 () in
@@ -113,7 +186,7 @@ let disjoint_trace ?explorer ~seed () =
   in
   (match explorer with
   | None -> ()
-  | Some e -> Machine.set_explorer m (Some (Explore.hook e)));
+  | Some e -> Machine.set_explorer m (Some (Explore.choose e)));
   let trace = ref [] in
   Machine.set_observer m
     (Some (fun e -> if Trace.traced e then trace := e :: !trace));
@@ -153,9 +226,7 @@ let project tid evs =
   List.filter_map
     (fun e ->
       let t, s = tag e in
-      if t = tid && not (String.length s >= 16 && String.sub s 0 16 = "inj:explore-park")
-      then Some s
-      else None)
+      if t = tid then Some s else None)
     evs
 
 let test_program_order_preserved () =
@@ -185,7 +256,7 @@ let sev_stream spec ~seed =
     Machine.create ~threads:4 ~seed ~cost:Cost.default ~mem:w.mem ~map:w.map
       ~alloc:w.alloc
   in
-  Machine.set_explorer m (Some (Explore.hook (Explore.create ~seed spec)));
+  Machine.set_explorer m (Some (Explore.choose (Explore.create ~seed spec)));
   let evs = ref [] in
   Sev.set_armed true;
   Fun.protect ~finally:(fun () -> Sev.set_armed false) @@ fun () ->
@@ -286,6 +357,31 @@ let test_repro_roundtrip () =
   let config', policy' = Check_run.repro_of_string s in
   check_bool "repro round-trips" true (config = config' && policy = policy')
 
+(* ---------- golden explored runs ---------- *)
+
+(* Explored schedules pinned end to end: the JSON documents of a seed-42
+   elision sweep and of the mutation campaign must equal the committed
+   ones byte for byte.  The mutation document carries each hunt's fired
+   preemption count and minimized repro string, so a change to parking,
+   consultation order or force-release shows there first. *)
+let golden_check_json args file () =
+  let out = Filename.temp_file "euno_check" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let exe = Filename.concat ".." (Filename.concat "bin" "euno_repro.exe") in
+  let cmd =
+    Printf.sprintf "%s %s --json %s > /dev/null" (Filename.quote exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote out)
+  in
+  check_int "exit status" 0 (Sys.command cmd);
+  let lines f =
+    String.split_on_char '\n' (In_channel.with_open_bin f In_channel.input_all)
+  in
+  Alcotest.(check (list string))
+    (String.concat " " args ^ " = golden/" ^ file)
+    (lines (Filename.concat "golden" file))
+    (lines out)
+
 (* ---------- differential oracle ---------- *)
 
 (* Single-threaded on the machine, every tree must agree with a host map
@@ -348,6 +444,16 @@ let differential_oracle kind =
 let suite =
   [
     Alcotest.test_case "spec descriptors round-trip" `Quick test_spec_roundtrip;
+    Alcotest.test_case "a park span drains one per pick of another thread"
+      `Quick test_park_span_drains;
+    Alcotest.test_case "all parked: the first in (clock, tid) order runs"
+      `Quick test_all_parked_releases_first;
+    Alcotest.test_case "replay fires at exactly (tid, index)" `Quick
+      test_replay_fires_exactly;
+    Alcotest.test_case "min-clock picks the head of the ready list" `Quick
+      test_min_clock_head;
+    Alcotest.test_case "a non-runnable choice is refused" `Quick
+      test_bad_choice_refused;
     Alcotest.test_case "min-clock policy is trace-identical to no explorer"
       `Quick (test_min_clock_parity 4);
     Alcotest.test_case "min-clock policy is trace-identical at 16 threads"
@@ -358,6 +464,12 @@ let suite =
       `Quick test_policies_deterministic;
     Alcotest.test_case "repro descriptors round-trip" `Quick
       test_repro_roundtrip;
+    Alcotest.test_case "check --quick --seed 42 JSON equals its golden" `Quick
+      (golden_check_json
+         [ "check"; "--quick"; "--seed"; "42"; "--strategy"; "elision" ]
+         "check_seed42_elision.json");
+    Alcotest.test_case "check --mutations JSON equals its golden" `Quick
+      (golden_check_json [ "check"; "--mutations" ] "check_mutations.json");
     Alcotest.test_case "mutations caught, shrunk, and replayed" `Slow
       test_mutations_caught;
     Alcotest.test_case "unmutated trees sweep clean" `Slow

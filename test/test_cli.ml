@@ -1,7 +1,8 @@
 (* Usage errors of euno_repro and bench/main.exe: a bad --threads, --keys
-   or --ops value, an unknown flag or a flag missing its value is rejected
-   up front with one line on stderr and exit status 2, for every
-   experiment that takes the flag, before any simulation starts. *)
+   or --ops value, a bad --repro policy, an unknown flag or a flag missing
+   its value is rejected up front with one line on stderr and exit status
+   2, for every experiment that takes the flag, before any simulation
+   starts. *)
 
 let euno_repro = Filename.concat ".." (Filename.concat "bin" "euno_repro.exe")
 let bench = Filename.concat ".." (Filename.concat "bench" "main.exe")
@@ -39,6 +40,17 @@ let case ?exe name args flag =
 
 let bench_case name args flag = case ~exe:bench ("bench " ^ name) args flag
 
+(* A --repro descriptor with a malformed or out-of-range field must be
+   refused before the replay starts, naming the field. *)
+let repro_case name ?(threads = "4") ?(mix = "point") policy field =
+  let descriptor =
+    Printf.sprintf
+      "tree=HTM-B+Tree;mix=%s;dist=zipf;strategy=elision;threads=%s;ops=12;\
+       keys=8;seed=23799;mut=none;policy=%s"
+      mix threads policy
+  in
+  case ("check --repro " ^ name) [ "check"; "--repro"; descriptor ] field
+
 let suite =
   [
     case "chaos --threads 0" [ "chaos"; "--quick"; "--threads"; "0" ] "--threads";
@@ -49,6 +61,12 @@ let suite =
     case "fig1 --ops 0" [ "fig1"; "--quick"; "--ops"; "0" ] "--ops";
     case "fig1 --capacity all" [ "fig1"; "--quick"; "--capacity"; "all" ] "--capacity";
     case "check --repro garbage" [ "check"; "--repro"; "garbage" ] "--repro";
+    repro_case "pct depth=-1" "pct:depth=-1,span=3,horizon=10" "depth=";
+    repro_case "walk per=x" "walk:per=x,span=3" "per=";
+    repro_case "replay span=-5" "replay:0@1:step*-5" "span=";
+    repro_case "replay tid 4 of 4 threads" "replay:1@3:step*4,4@1:step*5" "tid=";
+    repro_case "threads=0" ~threads:"0" "min-clock" "threads=";
+    repro_case "mix=bogus" ~mix:"bogus" "min-clock" "mix";
     bench_case "--quik" [ "--quik" ] "--quik";
     bench_case "--json with no value" [ "--quick"; "--json" ] "--json";
     bench_case "--domains with no value" [ "--domains"; "--quick" ] "--domains";

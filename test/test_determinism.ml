@@ -98,7 +98,7 @@ let explorer_case (name, scenario) =
       check_stream
         (scenario ~setup:(fun m ->
              Machine.set_explorer m
-               (Some (Explore.hook (Explore.create ~seed:42 Explore.Min_clock))))))
+               (Some (Explore.choose (Explore.create ~seed:42 Explore.Min_clock))))))
 
 (* Two in-process runs of the same scenario must also agree with each
    other (no hidden host state, e.g. physical hashing or GC effects). *)

@@ -299,7 +299,13 @@ let test_floor_direct () =
   let run body = run_one w body in
   check_floor "direct read" ~ceiling:0.0 ~run (fun () -> ignore (Api.read addr));
   check_floor "direct write" ~ceiling:0.0 ~run (fun () -> Api.write addr 1);
-  check_floor "work 1" ~ceiling:0.0 ~run (fun () -> Api.work 1)
+  check_floor "work 1" ~ceiling:0.0 ~run (fun () -> Api.work 1);
+  (* An uncontended lock builds no backoff state. *)
+  let lock = run_one w Euno_sync.Spinlock.alloc in
+  check_floor "uncontended spinlock acquire + release" ~ceiling:0.0 ~run
+    (fun () ->
+      Euno_sync.Spinlock.acquire lock;
+      Euno_sync.Spinlock.release lock)
 
 (* 16 threads at unit cost: each read leaves its thread behind the parked
    ones, so every call yields and takes a scheduler turn. *)

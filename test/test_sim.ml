@@ -508,7 +508,7 @@ let test_running_machine_scope () =
   Machine.run injected (fun _ ->
       check_bool "inside a run with an injector" true (is injected));
   let explored = create () in
-  Machine.set_explorer explored (Some (fun ~tid:_ ~point:_ -> 0));
+  Machine.set_explorer explored (Some (fun ~last:_ ~point:_ ready -> List.hd ready));
   Machine.run explored (fun _ ->
       check_bool "inside a run with an explorer" true (is explored));
   check_bool "cleared after the runs" true (off ())
