@@ -36,16 +36,6 @@ let create ~fanout ~map () =
   let root = alloc_leaf ~layout ~map in
   { idx = Index.create ~fanout ~map ~root () }
 
-(* Split a sorted record list into leaf-sized chunks (at most [per_leaf],
-   never a lone trailing record when it can be avoided). *)
-let chunk_records per_leaf records =
-  let rec go acc current n = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | r :: rest when n < per_leaf -> go acc (r :: current) (n + 1) rest
-    | rest -> go (List.rev current :: acc) [] 0 rest
-  in
-  go [] [] 0 records
-
 (* Bulk load sorted, distinct records into a fresh tree: leaves are packed
    to [fill] of the fanout and the index is built bottom-up (single-
    threaded; the YCSB load phase). *)
@@ -67,7 +57,7 @@ let bulk_load ?(fill = 0.7) ~fanout ~map records =
   match records with
   | [] -> create ~fanout ~map ()
   | _ ->
-      let leaves = List.map make_leaf (chunk_records per_leaf records) in
+      let leaves = List.map make_leaf (Index.chunk_records per_leaf records) in
       (* chain the leaves *)
       let rec chain = function
         | (_, a) :: ((_, b) :: _ as rest) ->

@@ -170,6 +170,18 @@ let child_index t node child =
 
 (* ---------- bulk loading ---------- *)
 
+(* Split a sorted record list into consecutive leaf-sized chunks of
+   [per_leaf] records; the last chunk holds the remainder, which can be a
+   single record.  Every tree's bulk load packs its leaves this way. *)
+let chunk_records per_leaf records =
+  let rec go acc current n = function
+    | [] ->
+        List.rev (match current with [] -> acc | _ -> List.rev current :: acc)
+    | r :: rest when n < per_leaf -> go acc (r :: current) (n + 1) rest
+    | rest -> go (List.rev current :: acc) [] 0 rest
+  in
+  go [] [] 0 records
+
 (* Build the internal levels bottom-up over an ordered, non-empty list of
    (min key, node) children, linking parent pointers, and install the
    root.  Used by the single-threaded bulk loaders of every tree variant:

@@ -51,6 +51,13 @@ val internal_remove_at : t -> int -> int -> unit
 val child_index : t -> int -> int -> int
 (** Position of a child pointer among a node's children, or -1. *)
 
+val chunk_records : int -> 'a list -> 'a list list
+(** [chunk_records per_leaf records] splits a sorted record list into
+    consecutive chunks of [per_leaf] records, in order; the last chunk
+    holds the remainder, which can be a single record ([per_leaf + 1]
+    records give chunks of [per_leaf] and 1).  The leaves of every bulk
+    load. *)
+
 val build_levels : t -> (int * int) list -> unit
 (** [build_levels t children] builds the internal levels bottom-up over an
     ordered, non-empty list of (min key, node) children — packing internal

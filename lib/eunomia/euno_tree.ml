@@ -129,11 +129,6 @@ let bulk_load ?epoch ?(fill = 0.7) ~cfg ~map records =
   match records with
   | [] -> create ?epoch ~cfg ~map ()
   | _ ->
-      let rec chunks acc current n = function
-        | [] -> List.rev (List.rev current :: acc)
-        | r :: rest when n < per_leaf -> chunks acc (r :: current) (n + 1) rest
-        | rest -> chunks (List.rev current :: acc) [] 0 rest
-      in
       let make_leaf chunk =
         let leaf = Leaf.alloc shape in
         Leaf.fill_round_robin shape leaf chunk;
@@ -143,7 +138,7 @@ let bulk_load ?epoch ?(fill = 0.7) ~cfg ~map records =
         end;
         (fst (List.hd chunk), leaf)
       in
-      let leaves = List.map make_leaf (chunks [] [] 0 records) in
+      let leaves = List.map make_leaf (Index.chunk_records per_leaf records) in
       let rec chain = function
         | (_, a) :: ((_, b) :: _ as rest) ->
             Api.write (Leaf.next_addr a) b;
@@ -754,7 +749,9 @@ let check_invariants t =
   (* the keys of the leaf under check, in read order: the count checks
      bound them by the capacity *)
   let seen = Array.make (Config.capacity cfg) 0 in
-  let records = ref 0 in
+  (* tree order: each leaf's gathered keys, appended as the pass visits it *)
+  let order = ref (Array.make 256 0) and len = ref 0 in
+  let leaves = ref 0 and leftmost = ref 0 in
   Index.check_structure t.idx ~leaf_keys:(fun leaf visit ->
       (* Per-leaf checks: segment counts in range, keys sorted within each
          segment, no duplicate keys across segments, mark bits cover every
@@ -793,19 +790,38 @@ let check_invariants t =
           done
         done;
       Leaf.gather_into s leaf r;
-      records := !records + r.Leaf.n;
+      if !leaves = 0 then leftmost := leaf;
+      incr leaves;
+      if !len + r.Leaf.n > Array.length !order then begin
+        let bigger = Array.make (2 * (!len + r.Leaf.n)) 0 in
+        Array.blit !order 0 bigger 0 !len;
+        order := bigger
+      end;
+      Array.blit r.Leaf.keys 0 !order !len r.Leaf.n;
+      len := !len + r.Leaf.n;
       for j = 0 to r.Leaf.n - 1 do
         visit r.Leaf.keys.(j)
       done);
-  (* The leaf chain must enumerate the same records in order: tree order
-     into one flat array, then the chain compared against it. *)
-  let order = Array.make !records 0 and len = ref 0 in
-  iter_leaf_records t r (fun r ->
-      Array.blit r.Leaf.keys 0 order !len r.Leaf.n;
-      len := !len + r.Leaf.n);
-  let pos = ref 0 and agree = ref true in
-  iter_range t ~from:min_int ~count:max_int (fun k _ ->
-      if !pos >= !len || order.(!pos) <> k then agree := false;
-      incr pos);
-  if not (!agree && !pos = !len) then
-    fail_inv "leaf chain disagrees with tree order"
+  (* The leaf chain, followed from the leftmost leaf, must enumerate the
+     same records in the same order, with no split lock held.  It is
+     followed for as many leaves as the index holds, so a cyclic chain
+     fails instead of looping, and it must end there.  Plain reads only:
+     the tree is quiescent, and this runs inside measured simulations. *)
+  let order = !order in
+  let pos = ref 0 and leaf = ref !leftmost in
+  for i = 1 to !leaves do
+    if !leaf = 0 then
+      fail_inv "leaf chain ends after %d of %d leaves" (i - 1) !leaves;
+    if Spinlock.is_locked (Leaf.split_lock_addr !leaf) then
+      fail_inv "leaf %d: split lock held" !leaf;
+    Leaf.gather_into s !leaf r;
+    for j = 0 to r.Leaf.n - 1 do
+      if !pos >= !len || order.(!pos) <> r.Leaf.keys.(j) then
+        fail_inv "leaf chain disagrees with tree order";
+      incr pos
+    done;
+    leaf := Api.read (Leaf.next_addr !leaf)
+  done;
+  if !pos <> !len then fail_inv "leaf chain disagrees with tree order";
+  if !leaf <> 0 then
+    fail_inv "leaf chain runs past the last of %d leaves" !leaves

@@ -130,14 +130,17 @@ exception Invariant of string
 
 val check_invariants : t -> unit
 (** Structural validation: shared index invariants, per-segment sortedness
-    and counts, no duplicate keys, mark-bit coverage of live keys, and
-    leaf-chain/tree-order agreement.
+    and counts, no duplicate keys, mark-bit coverage of live keys, no
+    split lock held, and leaf-chain/tree-order agreement.  Meant for a
+    quiescent tree.
 
-    {b Cost:} three walks, each one pass: the index check, the tree order
-    and the leaf chain (a full-range {!scan}).  Per record they allocate
-    nothing: leaves are gathered into one reused buffer and the tree
-    order into one flat array the chain is compared against.  Each chain
-    hop runs one {!Euno_htm.Htm.atomic}, whose own allocation is per leaf.
+    {b Cost:} two passes, each gathering every leaf once: the index check,
+    which also records the tree order into one flat array, and the leaf
+    chain, followed by [next] pointers from the leftmost leaf and compared
+    against it.  The chain walk stops after as many leaves as the index
+    holds, so a cyclic chain fails rather than loops.  Plain reads only:
+    no write, allocation, lock or transaction, and nothing allocated per
+    record on the host.
 
     {b Determinism:} the {!Euno_sim.Api} calls are a fixed sequence for a
     given tree, and a failing check raises after a fixed prefix of it.

@@ -178,11 +178,6 @@ let bulk_load ?(elide = false) ?(fill = 0.7) ~fanout ~map records =
   match records with
   | [] -> create ~elide ~fanout ~map ()
   | _ ->
-      let rec chunks acc current n = function
-        | [] -> List.rev (List.rev current :: acc)
-        | r :: rest when n < per_leaf -> chunks acc (r :: current) (n + 1) rest
-        | rest -> chunks (List.rev current :: acc) [] 0 rest
-      in
       let make_leaf chunk =
         let leaf = alloc_leaf_with ~layout ~map in
         List.iteri
@@ -193,7 +188,7 @@ let bulk_load ?(elide = false) ?(fill = 0.7) ~fanout ~map records =
         Api.write (L.nkeys leaf) (List.length chunk);
         (fst (List.hd chunk), leaf)
       in
-      let leaves = List.map make_leaf (chunks [] [] 0 records) in
+      let leaves = List.map make_leaf (Index.chunk_records per_leaf records) in
       let rec chain = function
         | (_, a) :: ((_, b) :: _ as rest) ->
             Api.write (L.next a) b;

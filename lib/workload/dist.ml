@@ -57,7 +57,7 @@ let zeta n theta =
   done;
   !acc
 
-let make_zipf n theta =
+let compute_zipf n theta =
   if theta <= 0.0 then S_uniform
   else begin
     let zetan = zeta n theta in
@@ -69,6 +69,31 @@ let make_zipf n theta =
     in
     S_zipf { theta; zetan; alpha; eta }
   end
+
+(* ζ(n, θ) costs n [Float.pow] calls, and every thread of a benchmark round
+   (and every later round) asks for the same (n, θ).  The sampler is
+   immutable, so each domain computes it once per (n, bits of θ) and shares
+   it; the draws are those of a freshly computed one. *)
+module Zipf_key = struct
+  type t = int * int64
+
+  let equal ((n, b) : t) ((n', b') : t) = n = n' && Int64.equal b b'
+  let hash ((n, b) : t) = Hashtbl.hash (n lxor Int64.to_int b)
+end
+
+module Zipf_table = Hashtbl.Make (Zipf_key)
+
+let zipf_table = Euno_sim.Domain_ref.create (fun () -> Zipf_table.create 8)
+
+let make_zipf n theta =
+  let table = Euno_sim.Domain_ref.get zipf_table in
+  let key = (n, Int64.bits_of_float theta) in
+  match Zipf_table.find_opt table key with
+  | Some s -> s
+  | None ->
+      let s = compute_zipf n theta in
+      Zipf_table.add table key s;
+      s
 
 let create ?(scrambled = false) spec ~n ~seed =
   if n < 2 then invalid_arg "Dist.create: n < 2";

@@ -33,7 +33,12 @@ val scramble : int -> int -> int
 
 val create : ?scrambled:bool -> spec -> n:int -> seed:int -> t
 (** Sampler over keys [0, n).  [scrambled] hashes ranks across the key
-    space (YCSB scrambled variant); default false = hot keys adjacent. *)
+    space (YCSB scrambled variant); default false = hot keys adjacent.
+
+    {b Cost:} a [Zipfian] or [Latest] sampler needs ζ(n, θ), O(n) float
+    work.  It is computed once per domain and (n, θ) and reused, so
+    every later sampler with the same (n, θ) costs O(1) and draws exactly
+    the keys a freshly computed one would. *)
 
 val next : t -> int
 (** Draw a key. *)

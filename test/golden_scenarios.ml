@@ -83,7 +83,7 @@ let output m threads events =
    small key space with gets/puts/deletes/scans.  Preload happens off the
    record on a frictionless single-thread machine sharing the same world,
    exactly like Runner's load phase. *)
-let tree_scenario kind ~threads ~ops ~key_space ~setup =
+let tree_scenario kind ~threads ~ops ~key_space ~(setup : Machine.t -> unit) =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in
@@ -115,7 +115,7 @@ let tree_scenario kind ~threads ~ops ~key_space ~setup =
 (* Raw engine exercise without any tree: plain and transactional accesses,
    CAS/FAA, allocation with rollback, an explicit abort, and cross-thread
    conflicts on a deliberately shared line. *)
-let engine_scenario ~threads ~rounds ~setup =
+let engine_scenario ~threads ~rounds ~(setup : Machine.t -> unit) =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in

@@ -856,6 +856,33 @@ let test_checker_catches_chain_skip () =
   expect_invariant w ~msg:"leaf chain disagrees" (fun () ->
       Euno.check_invariants t)
 
+(* A split lock left held (its owner died mid-split) is reported with its
+   leaf, not spun on: the check must end on a stuck tree. *)
+let test_checker_catches_held_split_lock () =
+  let w = fresh_world () in
+  let cfg = { Config.default with Config.fanout = 8 } in
+  let records = List.init 200 (fun k -> (k, k)) in
+  let t = run_one w (fun () -> Euno.bulk_load ~cfg ~map:w.map records) in
+  let leaf = run_one w (fun () -> Euno.find_leaf t 100) in
+  run_one w (fun () -> Api.write (Leaf.split_lock_addr leaf) 4);
+  expect_invariant w
+    ~msg:(Printf.sprintf "leaf %d: split lock held" leaf)
+    (fun () -> Euno.check_invariants t)
+
+(* A chain that loops back is cut off after as many leaves as the index
+   holds, instead of being followed forever. *)
+let test_checker_catches_cyclic_chain () =
+  let w = fresh_world () in
+  let t, _, leaf = corruptible w in
+  let first = run_one w (fun () -> Euno.find_leaf t 0) in
+  let rec last l =
+    let next = Memory.get w.mem (Leaf.next_addr l) in
+    if next = 0 then l else last next
+  in
+  Memory.set w.mem (Leaf.next_addr (last leaf)) first;
+  expect_invariant w ~msg:"leaf chain runs past" (fun () ->
+      Euno.check_invariants t)
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
@@ -868,6 +895,10 @@ let suite =
       test_checker_catches_unmarked_key;
     Alcotest.test_case "checker catches a chain skipping a leaf" `Quick
       test_checker_catches_chain_skip;
+    Alcotest.test_case "checker catches a held split lock" `Quick
+      test_checker_catches_held_split_lock;
+    Alcotest.test_case "checker catches a cyclic leaf chain" `Quick
+      test_checker_catches_cyclic_chain;
     Alcotest.test_case "iteration helpers" `Quick test_iteration_helpers;
     Alcotest.test_case "tree stats" `Quick test_tree_stats;
     Alcotest.test_case "bulk load under every config" `Quick

@@ -126,13 +126,24 @@ let test_scan_and_delete_mix_supported () =
     Kv.all_kinds
 
 let test_memory_accounting_reserved_transient () =
-  (* Eunomia's reserved buffers are transient: live reserved bytes after a
-     run must be zero even though the peak is positive. *)
+  (* Eunomia's scans stage each leaf's records through a transient
+     reserved buffer.  A get/scan run allocates nothing else, so the
+     measured run's reserved peak is positive while its live bytes return
+     exactly to the preload level: no reserved word outlives its scan.
+     No validation afterwards, so the peak is the run's own. *)
   let w =
-    { (small_workload ()) with Runner.mix = Opgen.read_write ~get_pct:0 }
+    {
+      (small_workload ()) with
+      Runner.mix = { Opgen.get = 50; put = 0; scan = 50; delete = 0; rmw = 0 };
+    }
   in
-  let r = Runner.run (Kv.Euno Config.full) w (small_setup ()) in
+  let r =
+    Runner.run (Kv.Euno Config.full) w
+      { (small_setup ()) with Runner.check_after = false }
+  in
   check_bool "reserved peak observed" true (r.Runner.r_mem_reserved_peak_bytes > 0);
+  check_int "no reserved word outlives the run" r.Runner.r_mem_preload_bytes
+    r.Runner.r_mem_live_bytes;
   check_bool "ccm lines accounted" true (r.Runner.r_mem_lock_bytes > 0)
 
 let test_run_many_aggregates () =
@@ -408,13 +419,11 @@ let test_strategy_sweep_records_complete_and_deterministic () =
 
 (* ---------- check floor: minor words per record ---------- *)
 
-(* [Kv.check] on a bulk-loaded 64 Ki-record tree, per record.  Every walk
-   streams, so the B+Tree and Masstree checks allocate nothing per record
-   (the streaming change took them from 70-79 words).  Euno's leaf-chain
-   walk runs one [Htm.atomic], one advisory-lock round trip and one
-   reserved-buffer allocation per leaf, all of which allocate on the host:
-   about 120 words a leaf, 12 per record at ten records a leaf (from
-   117.5). *)
+(* [Kv.check] on a bulk-loaded 64 Ki-record tree, per record.  Every
+   validator streams its walks through reused buffers and only reads
+   simulated memory: no transaction, lock or reserved buffer per leaf,
+   each of which would allocate on the host.  So none allocates per
+   record. *)
 let test_check_floor () =
   let n = 1 lsl 16 in
   let records = List.init n (fun k -> (k, k)) in
@@ -426,20 +435,69 @@ let test_check_floor () =
       run_one w kv.Kv.check;
       let got = (Gc.minor_words () -. before) /. float_of_int n in
       if got > ceiling then
-        Alcotest.failf "%s: Kv.check %.2f minor words per record, ceiling %.0f"
+        Alcotest.failf "%s: Kv.check %.2f minor words per record, ceiling %.1f"
           (Kv.kind_name kind) got ceiling)
     [
       (Kv.Htm_bptree, 1.0);
       (Kv.Lock_bptree, 1.0);
       (Kv.Masstree, 1.0);
       (Kv.Htm_masstree, 1.0);
-      (Kv.Euno Config.full, 12.5);
+      (Kv.Euno Config.full, 1.0);
+    ]
+
+(* ---------- validators are read-only ---------- *)
+
+(* [Kv.check] runs inside measured machines (chaos checkpoints, crash
+   recovery), so it must not perturb them: after puts and deletes, every
+   tree's validator emits plain reads and nothing else — no write,
+   transaction, allocation or lock announcement. *)
+let test_check_read_only () =
+  let records = List.init 3000 (fun k -> (2 * k, k)) in
+  List.iter
+    (fun kind ->
+      let w = fresh_world () in
+      let kv =
+        run_one w (fun () ->
+            let kv = Kv.build ~records kind ~fanout:8 ~map:w.map in
+            for k = 0 to 299 do
+              kv.Kv.put ((20 * k) + 1) k;
+              ignore (kv.Kv.delete (20 * k))
+            done;
+            kv)
+      in
+      let m =
+        Machine.create ~threads:1 ~seed:42 ~cost:Cost.unit_costs ~mem:w.mem
+          ~map:w.map ~alloc:w.alloc
+      in
+      let reads = ref 0 and exits = ref 0 and other = ref [] in
+      Machine.set_observer m
+        (Some
+           (fun e ->
+             match e.Euno_sim.Sev.body with
+             | Euno_sim.Sev.Plain_read _ -> incr reads
+             | Euno_sim.Sev.Thread_exit { failed = false; aborted = false } ->
+                 incr exits
+             | _ -> other := e :: !other));
+      Machine.run m (fun _ -> kv.Kv.check ());
+      let name = Kv.kind_name kind in
+      check_bool (name ^ " reads the tree") true (!reads > 0);
+      check_int (name ^ " clean thread exit") 1 !exits;
+      check_int (name ^ " events other than plain reads") 0
+        (List.length !other))
+    [
+      Kv.Htm_bptree;
+      Kv.Lock_bptree;
+      Kv.Euno Config.full;
+      Kv.Euno Config.default;
+      Kv.Masstree;
+      Kv.Htm_masstree;
     ]
 
 let suite =
   [
     Alcotest.test_case "check floor: Kv.check words per record" `Quick
       test_check_floor;
+    Alcotest.test_case "validators are read-only" `Quick test_check_read_only;
     Alcotest.test_case "stress marathon (all trees)" `Slow
       test_stress_marathon;
     Alcotest.test_case "kv semantic parity across trees" `Slow

@@ -119,8 +119,51 @@ let test_split_internal_on_alloc_hook () =
       let idx_depth = Bptree.depth t in
       check_bool "internal splits happened" true (idx_depth >= 3))
 
+(* Bulk loads pack [per_leaf] records a leaf (70 % of capacity) and put
+   the remainder, even a single record, in a last leaf of its own: one
+   more record than a leaf takes gives two leaves, the last holding one.
+   That shape is part of every preloaded world. *)
+let test_bulk_load_chunking () =
+  let module Masstree = Euno_masstree.Masstree in
+  let module Euno = Eunomia.Euno_tree in
+  let module Leaf = Eunomia.Leaf in
+  let module Config = Eunomia.Config in
+  let records n = List.init n (fun k -> (k, k)) in
+  let nkeys leaf = Api.read (L.nkeys leaf) in
+  List.iter
+    (fun (family, per_leaf, load) ->
+      let w = fresh_world () in
+      let find_leaf, count =
+        run_one w (fun () -> load w (records (per_leaf + 1)))
+      in
+      run_one w (fun () ->
+          let first = find_leaf 0 and last = find_leaf per_leaf in
+          check_bool (family ^ ": two leaves") true (first <> last);
+          check_int (family ^ ": full first leaf") per_leaf (count first);
+          check_int (family ^ ": lone last record") 1 (count last)))
+    [
+      ( "B+Tree",
+        11,
+        fun w rs ->
+          let t = Bptree.bulk_load ~fanout:16 ~map:w.map rs in
+          (Bptree.find_leaf t, nkeys) );
+      ( "Masstree",
+        11,
+        fun w rs ->
+          let t = Masstree.bulk_load ~fanout:16 ~map:w.map rs in
+          (Index.find_leaf (Masstree.index t), nkeys) );
+      ( "Euno-B+Tree",
+        10,
+        fun w rs ->
+          let t = Euno.bulk_load ~cfg:Config.default ~map:w.map rs in
+          let shape = Leaf.shape Config.default ~map:w.map in
+          (Euno.find_leaf t, Leaf.total_count shape) );
+    ]
+
 let suite =
   [
+    Alcotest.test_case "bulk loads leave a lone trailing record" `Quick
+      test_bulk_load_chunking;
     Alcotest.test_case "checker accepts valid tree" `Quick
       test_checker_accepts_valid;
     Alcotest.test_case "checker catches unsorted leaf" `Quick

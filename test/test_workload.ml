@@ -208,8 +208,57 @@ let prop_scramble_distinct_ranks_distinct_keys =
          let a = a mod n and b = b mod n in
          a = b || Dist.scramble n a <> Dist.scramble n b))
 
+(* The first 16 keys of each sampler at seed 19, as computed before the
+   Zipf constants were shared per (n, theta).  The samplers run in this
+   order, twice on this domain and once on a pool worker (a fresh table),
+   so a table keyed on n alone (the second row) or on theta alone (the
+   third) would hand out the wrong constants. *)
+let pinned_zipf_streams =
+  [
+    ( Dist.Zipfian 0.99,
+      65536,
+      [ 3190; 1; 38; 1; 5602; 40985; 152; 458; 9; 270; 22217; 28442; 7811;
+        15529; 5305; 3662 ] );
+    ( Dist.Zipfian 0.8,
+      65536,
+      [ 16541; 19; 868; 8; 21961; 54034; 2593; 5470; 208; 3877; 41578; 46281;
+        25792; 35463; 21380; 17755 ] );
+    ( Dist.Zipfian 0.99,
+      4096,
+      [ 391; 1; 13; 0; 605; 2841; 37; 87; 4; 58; 1764; 2138; 783; 1336; 580;
+        435 ] );
+    ( Dist.Latest 0.99,
+      4096,
+      [ 3704; 4094; 4082; 4095; 3490; 1254; 4058; 4008; 4091; 4037; 2331;
+        1957; 3312; 2759; 3515; 3660 ] );
+  ]
+
+let test_zipf_streams_pinned () =
+  let draw_all () =
+    List.map
+      (fun (spec, n, _) ->
+        let d = Dist.create spec ~n ~seed:19 in
+        List.init 16 (fun _ -> Dist.next d))
+      pinned_zipf_streams
+  in
+  let check where got =
+    List.iter2
+      (fun (spec, n, want) got ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s n=%d, %s" (Dist.spec_to_string spec) n where)
+          want got)
+      pinned_zipf_streams got
+  in
+  check "first creation" (draw_all ());
+  check "second creation" (draw_all ());
+  match Euno_harness.Pool.map ~domains:2 draw_all [ () ] with
+  | [ got ] -> check "pool worker" got
+  | _ -> Alcotest.fail "one cell, one result"
+
 let suite =
   [
+    Alcotest.test_case "zipf streams pinned across domains" `Quick
+      test_zipf_streams_pinned;
     Alcotest.test_case "zipfian matches analytic mass" `Quick
       test_zipf_matches_analytic;
     Alcotest.test_case "zipfian(0) is uniform" `Quick test_zipf_zero_is_uniform;
